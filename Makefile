@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build vet vet-examples lint test test-segment test-stream race bench bench-json loadgen-smoke clean
+.PHONY: all tier1 build vet vet-examples lint test test-segment test-stream race bench bench-json bench-smoke loadgen-smoke clean
 
 all: tier1
 
@@ -63,8 +63,10 @@ test-stream:
 # race exercises the parallel evaluator, the shared EDB/memo caches, the
 # store write path (WAL fault injection, range-index readers, changelog),
 # the segment backend (crash injection, mem/segment equivalence), the
-# materialized-view oracle, and the server's observability counters
-# under the race detector.
+# materialized-view oracle, the goal-specialization oracle
+# (internal/core/specialize_oracle_test.go: Parallel(4) engines,
+# concurrent readers on the plan cache), and the server's observability
+# counters under the race detector.
 race:
 	$(GO) test -race ./internal/datalog/... ./internal/store/... ./internal/core/... ./internal/server/...
 
@@ -74,6 +76,14 @@ bench:
 # bench-json regenerates the machine-readable acceptance benchmark report.
 bench-json:
 	$(GO) run ./cmd/bench -json -out BENCH_PR9.json
+
+# bench-smoke runs the tracked benchmark's four workloads (probe, scan,
+# rules, ingest) on a small corpus, each with its naive-oracle checks;
+# any failed op or check fails the target. ~20s. The measured run is
+# `bash bench/run.sh -warmup 3 --workload probe --seed 1 --seconds 27
+# --trace 0` (see bench/README.md).
+bench-smoke:
+	$(GO) run ./bench -quick
 
 # loadgen-smoke drives a short open-loop load sweep (experiment E18)
 # against an in-process admission-controlled server and fails if

@@ -22,6 +22,13 @@ import (
 
 // DB is a video database with an attached rule program.
 //
+// Evaluation is goal-directed: a query evaluates only the rules its goal
+// depends on, and a goal with constants (costar(o1, Y, S)) is answered
+// from rules specialized to those constants, so it never builds the goal
+// predicate's full extent (see datalog.SpecializeGoal). No option
+// controls the rewrite; WithoutQueryPruning turns all goal-directed
+// evaluation off and is the configuration the oracles compare against.
+//
 // Concurrency: the underlying store is safe for concurrent use, and each
 // query evaluates on its own engine, but a query is not transactionally
 // isolated from concurrent writes (the engine reads the store lazily
@@ -95,9 +102,10 @@ func WithEngineOptions(opts ...datalog.Option) Option {
 	return func(db *DB) { db.engOpts = append(db.engOpts, opts...) }
 }
 
-// WithoutQueryPruning evaluates the full rule program for every query
-// instead of the goal-reachable subprogram (the default). Used by the
-// pruning ablation and for debugging.
+// WithoutQueryPruning evaluates the full, unrewritten rule program for
+// every query instead of the goal-reachable subprogram specialized to
+// the goal's constants (the default). Used as the differential oracle,
+// by the pruning ablation, and for debugging.
 func WithoutQueryPruning() Option { return func(db *DB) { db.noPruning = true } }
 
 // Store exposes the underlying store.
@@ -333,13 +341,15 @@ func (db *DB) QueryAtomContext(ctx context.Context, atom datalog.RelAtom) (*Resu
 }
 
 // newEngine builds a fresh engine over the database's rules, the
-// taxonomy's rules, and the query's synthesized rule (if any). A
-// non-Background ctx is attached to the engine so the fixpoint observes
-// cancellation; Background stays off the hot path entirely.
-func (db *DB) newEngine(ctx context.Context, q parser.Query, extra ...datalog.Option) (*datalog.Engine, error) {
-	cp, err := db.compiledProgramFor(q.Atom.Pred, q.Rule)
+// taxonomy's rules, and the query's synthesized rule (if any), together
+// with the plan it was built from: the engine answers plan.goal, which
+// is the specialized goal rather than q.Atom when the rewrite applied.
+// A non-Background ctx is attached to the engine so the fixpoint
+// observes cancellation; Background stays off the hot path entirely.
+func (db *DB) newEngine(ctx context.Context, q parser.Query, extra ...datalog.Option) (*datalog.Engine, *queryPlan, error) {
+	plan, err := db.planFor(q)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	opts := db.engOpts
 	if ctx != nil && ctx != context.Background() {
@@ -348,26 +358,15 @@ func (db *DB) newEngine(ctx context.Context, q parser.Query, extra ...datalog.Op
 	if len(extra) > 0 {
 		opts = append(append([]datalog.Option(nil), opts...), extra...)
 	}
-	return datalog.NewEngineWith(db.st, cp, opts...), nil
-}
-
-// engineFor parses a query and builds the engine that would answer it,
-// without running it (used by Explain).
-func (db *DB) engineFor(ctx context.Context, src string) (*datalog.Engine, parser.Query, error) {
-	q, err := parser.ParseQuery(src)
-	if err != nil {
-		return nil, parser.Query{}, err
-	}
-	eng, err := db.newEngine(ctx, q)
-	return eng, q, err
+	return datalog.NewEngineWith(db.st, plan.cp, opts...), plan, nil
 }
 
 func (db *DB) runQuery(ctx context.Context, q parser.Query, extra ...datalog.Option) (*ResultSet, error) {
-	eng, err := db.newEngine(ctx, q, extra...)
+	eng, plan, err := db.newEngine(ctx, q, extra...)
 	if err != nil {
 		return nil, err
 	}
-	res, err := eng.Query(q.Atom)
+	res, err := eng.Query(plan.goal)
 	if err != nil {
 		return nil, err
 	}

@@ -61,7 +61,9 @@ func (db *DB) Close() error {
 
 // Explain renders the evaluation strategy for the database's current
 // rules (plus the query's synthesized rule, if any) — strata, body
-// orders, index usage.
+// orders, index usage. The first line says whether the goal was
+// specialized to its constants ("specialized from costar(o1, Y, S)",
+// followed by the rewritten rules) or why not.
 func (db *DB) Explain(query string) (string, error) {
 	return db.ExplainContext(context.Background(), query)
 }
@@ -75,11 +77,19 @@ func (db *DB) ExplainContext(ctx context.Context, query string) (string, error) 
 		return "", err
 	}
 	defer release()
-	eng, _, err := db.engineFor(ctx, query)
+	q, err := parser.ParseQuery(query)
 	if err != nil {
 		return "", err
 	}
-	return eng.Explain(), nil
+	eng, plan, err := db.newEngine(ctx, q)
+	if err != nil {
+		return "", err
+	}
+	header := "specialized from " + q.Atom.String()
+	if plan.fallback != "" {
+		header = "not specialized: " + plan.fallback
+	}
+	return header + "\n" + eng.Explain(), nil
 }
 
 // Why evaluates the program with provenance tracing and renders the

@@ -6,24 +6,27 @@ import (
 	"sync"
 
 	"videodb/internal/datalog"
+	"videodb/internal/parser"
 )
 
 // Cross-query plan cache: compiling a query — assembling the program
 // from the DB's rules, the taxonomy fragment, and the query's
-// synthesized rule, pruning it to the goal, validating, stratifying,
-// and building every rule's execution plan — costs more than evaluating
-// many small queries. Repeated queries (dashboards, views, the server's
-// hot endpoints) pay it every time, so the DB keeps an LRU of
-// datalog.CompiledProgram artifacts keyed by the query shape and the
-// versions of everything the compilation read:
+// synthesized rule, specializing it to a bound goal or pruning it to the
+// goal predicate, validating, stratifying, and building every rule's
+// execution plan — costs more than evaluating many small queries.
+// Repeated queries (dashboards, views, the server's hot endpoints) pay
+// it every time, so the DB keeps an LRU of compiled query plans keyed by
+// the query shape and the versions of everything the compilation read:
 //
-//	(goal predicate, synthesized rule, pruning flag)
+//	(goal atom text, synthesized rule, pruning flag)
 //	  × rule-program version   (bumped on DefineRule/AddRule/LoadScript)
 //	  × taxonomy version       (bumped on DefineClass)
 //	  × store schema version   (bumped when a relation appears/disappears)
 //
 // A version bump changes the key, so stale entries are never served;
-// they age out of the LRU. Entries are immutable and shared: a hit
+// they age out of the LRU. The goal is keyed by its atom text, not its
+// predicate, because a bound goal's program has its constants unified in
+// (datalog.SpecializeGoal). Entries are immutable and shared: a hit
 // stamps out a fresh engine with datalog.NewEngineWith, skipping
 // parse-free compilation entirely.
 
@@ -39,7 +42,7 @@ type PlanCacheStats struct {
 }
 
 type planKey struct {
-	goal      string // goal predicate the program was pruned to
+	goal      string // goal atom text the program was specialized or pruned to
 	ruleSrc   string // rendered synthesized query rule ("" if none)
 	noPruning bool
 	progVer   uint64
@@ -49,8 +52,17 @@ type planKey struct {
 }
 
 type planEntry struct {
-	key planKey
-	cp  *datalog.CompiledProgram
+	key  planKey
+	plan *queryPlan
+}
+
+// queryPlan is what a query compiles to: the program and the atom its
+// engine answers — the specialized goal, or the query's own atom when
+// the rewrite fell back (fallback says why) or pruning is off.
+type queryPlan struct {
+	cp       *datalog.CompiledProgram
+	goal     datalog.RelAtom
+	fallback string
 }
 
 type planCache struct {
@@ -71,29 +83,29 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-// get returns the cached compiled program for the key, promoting it to
+// get returns the cached plan for the key, promoting it to
 // most-recently-used, or nil on a miss.
-func (c *planCache) get(k planKey) *datalog.CompiledProgram {
+func (c *planCache) get(k planKey) *queryPlan {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[k]; ok {
 		c.ll.MoveToFront(el)
 		c.hits++
-		return el.Value.(*planEntry).cp
+		return el.Value.(*planEntry).plan
 	}
 	c.misses++
 	return nil
 }
 
-// put inserts the compiled program, evicting the least recently used
-// entry beyond capacity. Racing puts for the same key keep the first.
-func (c *planCache) put(k planKey, cp *datalog.CompiledProgram) {
+// put inserts the plan, evicting the least recently used entry beyond
+// capacity. Racing puts for the same key keep the first.
+func (c *planCache) put(k planKey, plan *queryPlan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[k]; ok {
 		return
 	}
-	c.entries[k] = c.ll.PushFront(&planEntry{key: k, cp: cp})
+	c.entries[k] = c.ll.PushFront(&planEntry{key: k, plan: plan})
 	for c.ll.Len() > c.cap {
 		el := c.ll.Back()
 		c.ll.Remove(el)
@@ -147,35 +159,39 @@ func (db *DB) planKeyFor(goal, ruleSrc string) planKey {
 	}
 }
 
-// compiledProgramFor returns the compiled program a query needs,
-// consulting the plan cache when enabled.
-func (db *DB) compiledProgramFor(goal string, qRule *datalog.Rule) (*datalog.CompiledProgram, error) {
+// planFor returns the plan a query needs, consulting the plan cache
+// when enabled. A direct goal is specialized to its constants unless
+// query pruning is off, which keeps the whole, unrewritten program.
+func (db *DB) planFor(q parser.Query) (*queryPlan, error) {
 	ruleSrc := ""
-	if qRule != nil {
-		ruleSrc = qRule.String()
+	if q.Rule != nil {
+		ruleSrc = q.Rule.String()
 	}
 	var key planKey
 	if db.plans != nil {
-		key = db.planKeyFor(goal, ruleSrc)
-		if cp := db.plans.get(key); cp != nil {
-			return cp, nil
+		key = db.planKeyFor(q.Atom.String(), ruleSrc)
+		if plan := db.plans.get(key); plan != nil {
+			return plan, nil
 		}
 	}
 	rules := append([]datalog.Rule(nil), db.rules...)
 	rules = append(rules, db.taxonomy.Rules()...)
-	if qRule != nil {
-		rules = append(rules, *qRule)
+	if q.Rule != nil {
+		rules = append(rules, *q.Rule)
 	}
 	prog := datalog.NewProgram(rules...)
+	plan := &queryPlan{goal: q.Atom, fallback: "query pruning is off"}
 	if !db.noPruning {
-		prog = prog.Reachable(goal)
+		sp := datalog.SpecializeGoal(prog, q.Atom)
+		prog, plan.goal, plan.fallback = sp.Program, sp.Goal, sp.Fallback
 	}
 	cp, err := datalog.CompileProgram(prog)
 	if err != nil {
 		return nil, err
 	}
+	plan.cp = cp
 	if db.plans != nil {
-		db.plans.put(key, cp)
+		db.plans.put(key, plan)
 	}
-	return cp, nil
+	return plan, nil
 }

@@ -418,14 +418,20 @@ func sseJSON(v interface{}) []byte {
 }
 
 // detachForResume marks the session detached and arms the grace reaper.
+// A closed server resumes nothing, so it arms no reaper: Close has
+// already dropped the session and closed its subscription, and a timer
+// armed now would outlive it by the whole grace period. The registry
+// lock orders the check against Close, which stops the reapers it finds.
 func (s *Server) detachForResume(ss *subSession) {
 	grace := s.subGrace
 	if grace <= 0 {
 		grace = subDetachGrace
 	}
+	s.subs.mu.Lock()
+	defer s.subs.mu.Unlock()
 	ss.mu.Lock()
 	ss.attached = false
-	if ss.reap == nil {
+	if ss.reap == nil && !s.subs.closed {
 		ss.reap = time.AfterFunc(grace, func() {
 			ss.mu.Lock()
 			stillDetached := !ss.attached

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -388,6 +389,59 @@ func TestSSEDetachReap(t *testing.T) {
 	if _, err := tryOpenSSE(ts.URL, "id="+subID, ""); err == nil ||
 		!strings.Contains(err.Error(), "status 404") {
 		t.Fatalf("resume after reap: %v, want 404", err)
+	}
+}
+
+// TestSSEDetachAfterCloseArmsNoReaper is the regression test for a
+// detach that lands after Server.Close: a client hangs up, Close runs,
+// and the handler's notice of the hang-up comes last. No reap timer may
+// be left pending (it would hold the session for the whole 30 s grace)
+// and the session must be gone.
+func TestSSEDetachAfterCloseArmsNoReaper(t *testing.T) {
+	db := core.New()
+	srv := New(db) // default grace: a leaked timer would outlive the test
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	c, err := tryOpenSSE(ts.URL, "goal="+escapeQuery("?- likes(X, Y)"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.next(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	id, err := strconv.ParseUint(c.subID, 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := srv.session(id)
+	if ss == nil {
+		t.Fatal("no session for the live stream")
+	}
+	c.close()
+	srv.Close()
+	srv.detachForResume(ss) // the handler noticing the hang-up late
+
+	ss.mu.Lock()
+	reap, attached := ss.reap, ss.attached
+	ss.mu.Unlock()
+	if reap != nil {
+		reap.Stop()
+		t.Fatal("detach after Close armed a reap timer")
+	}
+	if attached {
+		t.Error("session still attached after detach")
+	}
+	if srv.session(id) != nil {
+		t.Error("session survived Server.Close")
+	}
+	// The core unregisters a closed subscription asynchronously.
+	deadline := time.Now().Add(5 * time.Second)
+	for db.SubscriptionStats().Active != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("subscription still active after Close: %+v", db.SubscriptionStats())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
