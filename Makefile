@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build vet vet-examples lint test test-segment test-stream race bench bench-json bench-smoke loadgen-smoke clean
+.PHONY: all tier1 build vet vet-examples lint test test-segment test-stream race bench paper-bench-smoke bench-json bench-smoke loadgen-smoke clean
 
 all: tier1
 
@@ -72,6 +72,12 @@ race:
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
+
+# paper-bench-smoke runs every paper benchmark (E1–E13 in the root
+# bench_test.go) exactly once, so a benchmark that breaks or slows by an
+# order of magnitude shows up in CI instead of only compiling. ~2s.
+paper-bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # bench-json regenerates the machine-readable acceptance benchmark report.
 bench-json:

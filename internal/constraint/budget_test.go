@@ -2,6 +2,8 @@ package constraint
 
 import (
 	"errors"
+	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -101,6 +103,56 @@ func TestSetConjWithinBudget(t *testing.T) {
 	}
 	if _, err := c.SatisfiableWithin(NewBudget(1, nil)); !errors.Is(err, ErrBudget) {
 		t.Fatalf("tiny budget err = %v, want ErrBudget", err)
+	}
+}
+
+// TestMemoCountsPerBudget: concurrent callers sharing the process-wide
+// memo each see exactly their own lookups through their budget, so the
+// per-budget counts add up to the global counter delta (none is counted
+// twice, none is lost).
+func TestMemoCountsPerBudget(t *testing.T) {
+	prev := SetMemoEnabled(true)
+	defer SetMemoEnabled(prev)
+	ResetMemo()
+	before := MemoSnapshot()
+
+	const callers, calls = 4, 200
+	budgets := make([]*Budget, callers)
+	var wg sync.WaitGroup
+	for i := range budgets {
+		budgets[i] = NewBudget(0, nil)
+		wg.Add(1)
+		go func(b *Budget, seed int64) {
+			defer wg.Done()
+			// A small formula pool, so callers both miss and hit, on their
+			// own entries and on each other's.
+			r := rand.New(rand.NewSource(seed))
+			for j := 0; j < calls; j++ {
+				f := Between("t", float64(r.Intn(6)), float64(6+r.Intn(6)))
+				g := Between("t", float64(r.Intn(6)), float64(6+r.Intn(6)))
+				if _, err := f.EntailsWithin(g, b); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(budgets[i], int64(i))
+	}
+	wg.Wait()
+	after := MemoSnapshot()
+
+	var sum uint64
+	for i, b := range budgets {
+		hits, misses := b.MemoCounts()
+		if hits+misses != calls {
+			t.Errorf("caller %d: %d hits + %d misses, want %d lookups", i, hits, misses, calls)
+		}
+		sum += hits + misses
+	}
+	if global := (after.Hits - before.Hits) + (after.Misses - before.Misses); sum != global {
+		t.Errorf("per-budget lookups sum to %d, global delta is %d", sum, global)
+	}
+	if after.Hits == before.Hits {
+		t.Error("no memo hits: the workload should repeat formulas")
 	}
 }
 

@@ -12,11 +12,12 @@ import (
 // observes its context cooperatively: once per fixpoint round, every
 // cancelCheckInterval candidate tuples inside the join kernel (so a
 // single pathological join cannot outlive its request), and — through a
-// constraint.Budget installed for the run — inside constraint-level
-// checks. Cancelled evaluations return an error that errors.Is-matches
-// both ErrCanceled and the context's own cause (context.Canceled or
-// context.DeadlineExceeded), so callers can distinguish "the client went
-// away" from "the query was wrong".
+// constraint.Budget installed for the run — inside constraint filters,
+// each of whose checks spends one budget step. Cancelled evaluations
+// return an error that errors.Is-matches both ErrCanceled and the
+// context's own cause (context.Canceled or context.DeadlineExceeded), so
+// callers can distinguish "the client went away" from "the query was
+// wrong".
 
 // ErrCanceled marks evaluation errors caused by context cancellation or
 // deadline expiry. Test with errors.Is (or IsCanceled).
@@ -92,16 +93,7 @@ func (e *Engine) tick() error {
 // exhaustion into the engine's limit error. Cancellation errors from the
 // budget's check function pass through unchanged.
 func (e *Engine) spendSolver(n int64) error {
-	if err := e.budget.Spend(n); err != nil {
-		return e.solverErr(err)
-	}
-	return nil
-}
-
-// solverErr translates an error escaping a budgeted solver call: budget
-// exhaustion becomes the engine's typed limit error, while cancellation
-// errors (from the budget's check function) pass through unchanged.
-func (e *Engine) solverErr(err error) error {
+	err := e.budget.Spend(n)
 	if errors.Is(err, constraint.ErrBudget) {
 		return fmt.Errorf("%w: %v (raise MaxSolverSteps if intended)", ErrLimitExceeded, err)
 	}

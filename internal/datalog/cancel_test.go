@@ -165,22 +165,45 @@ func TestMaxRoundsErrorIsTyped(t *testing.T) {
 
 func TestMaxSolverStepsGuard(t *testing.T) {
 	s := ropeStore(t)
-	// Each candidate G spends one solver step on the temporal filter; a
-	// budget of 1 cannot cover both intervals.
-	p := NewProgram(NewRule(
-		Rel("q", Var("G"), Var("H")),
-		Interval(Var("G")), Interval(Var("H")),
-		Temporal(AttrOp(Var("G"), "duration"), TempBefore, AttrOp(Var("H"), "duration")),
-	))
-	e := mustEngine(t, s, p, MaxSolverSteps(1))
-	err := e.Run()
-	if !errors.Is(err, ErrLimitExceeded) {
-		t.Fatalf("err = %v, want errors.Is ErrLimitExceeded", err)
+	// Each candidate pair spends one solver step on the temporal or
+	// entailment filter; a budget of 1 cannot cover every pair.
+	for name, guard := range map[string]Literal{
+		"temporal": Temporal(AttrOp(Var("G"), "duration"), TempBefore, AttrOp(Var("H"), "duration")),
+		"entails":  Entails(AttrOp(Var("G"), "duration"), AttrOp(Var("H"), "duration")),
+	} {
+		p := NewProgram(NewRule(
+			Rel("q", Var("G"), Var("H")),
+			Interval(Var("G")), Interval(Var("H")),
+			guard,
+		))
+		e := mustEngine(t, s, p, MaxSolverSteps(1))
+		err := e.Run()
+		if !errors.Is(err, ErrLimitExceeded) {
+			t.Fatalf("%s: err = %v, want errors.Is ErrLimitExceeded", name, err)
+		}
+		// Unlimited (default) evaluates fine.
+		e2 := mustEngine(t, s, p)
+		if err := e2.Run(); err != nil {
+			t.Errorf("%s: unbudgeted run failed: %v", name, err)
+		}
 	}
-	// Unlimited (default) evaluates fine.
-	e2 := mustEngine(t, s, p)
-	if err := e2.Run(); err != nil {
-		t.Errorf("unbudgeted run failed: %v", err)
+}
+
+// TestCancelInsideEntailFilter cancels a covers-shaped run — two interval
+// scans and a `=>` guard per pair — once its first round is under way
+// (the run and round checks pass, the next check trips): the filter's
+// budget steps observe the context, so the run stops with ErrCanceled
+// after some but not all of the n² checks.
+func TestCancelInsideEntailFilter(t *testing.T) {
+	const n = 80
+	ctx := &trippingCtx{Context: context.Background(), after: 2}
+	e := mustEngine(t, entailStore(t, n), entailProgram(), WithContext(ctx))
+	err := e.Run()
+	if !IsCanceled(err) {
+		t.Fatalf("err = %v, want errors.Is ErrCanceled", err)
+	}
+	if steps := e.Stats().SolverSteps; steps == 0 || steps >= n*n {
+		t.Errorf("run spent %d filter steps, want some but fewer than n² = %d", steps, n*n)
 	}
 }
 

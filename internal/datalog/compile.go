@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"videodb/internal/constraint"
 	"videodb/internal/interval"
 	"videodb/internal/object"
 )
@@ -605,6 +604,11 @@ func compileFilter(cr *compiledRule, l Literal) filterFunc {
 	case EntailAtom:
 		left, right := compileOperand(cr, a.Left), compileOperand(cr, a.Right)
 		return func(e *Engine, fr *frame) (bool, error) {
+			// One budget step per check, so MaxSolverSteps and
+			// cancellation still reach inside the filter.
+			if err := e.spendSolver(1); err != nil {
+				return false, err
+			}
 			lv, err := e.resolveOp(left, fr)
 			if err != nil {
 				return false, err
@@ -618,18 +622,11 @@ func compileFilter(cr *compiledRule, l Literal) filterFunc {
 			if !ok1 || !ok2 {
 				return false, nil
 			}
-			// Entailment is decided by the dense-order solver (the paper's
-			// point-based route, verdict-identical to interval containment
-			// per the temporal package's property tests). The call carries
-			// the run budget, so MaxSolverSteps and cancellation reach
-			// inside the check and every memo lookup is attributed to this
-			// engine; repeated checks across rounds and queries resolve to
-			// a memo hit instead of a re-solve.
-			ok, err := constraint.DurationFormula(lt).EntailsWithin(constraint.DurationFormula(rt), e.budget)
-			if err != nil {
-				return false, e.solverErr(err)
-			}
-			return ok, nil
+			// Dense-order entailment between single-variable duration
+			// constraints is generalized-interval containment (§4 Def. 2):
+			// duration(lt) ⇒ duration(rt) iff lt ⊆ rt. The solver stays
+			// the oracle in the differential tests.
+			return rt.ContainsGen(lt), nil
 		}
 
 	case TemporalAtom:

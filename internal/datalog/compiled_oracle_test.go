@@ -14,8 +14,8 @@ import (
 )
 
 // Differential oracle for the compiled evaluator: the default engine
-// (compiled rule plans + constraint-solver memo) must produce exactly the
-// fixpoint of the reference evaluator (per-evaluation planning, memo off),
+// (compiled rule plans) must produce exactly the fixpoint of the reference
+// evaluator (per-evaluation planning) and of the naive evaluator,
 // including under parallel evaluation. Caching and compilation are
 // representation changes only — any observable difference is a bug.
 
@@ -77,6 +77,17 @@ func oracleCases(t *testing.T) []oracleCase {
 				interval.FromPairs(lo, lo+10)).
 				Set(object.AttrEntities, object.RefSet(ents[i%len(ents)], ents[(i+1)%len(ents)])))
 		}
+		// Non-convex, point and empty durations for the entailment guard.
+		// They carry no entities, so the constructive rule's closure over
+		// shared entities stays as small as it was.
+		for i, d := range []interval.Generalized{
+			interval.FromPairs(1, 3, 8, 9),    // two spans inside g0
+			interval.FromPairs(0, 10, 14, 24), // g0 ∪ g2
+			interval.New(interval.Point(8)),
+			interval.Empty(),
+		} {
+			s.Put(object.NewInterval(object.OID(fmt.Sprintf("h%d", i)), d))
+		}
 		cases = append(cases, oracleCase{"intervals-constraints", s, NewProgram(
 			// Class enumeration + member-index lookahead.
 			NewRule(Rel("appears", Var("O"), Var("G")),
@@ -87,7 +98,7 @@ func oracleCases(t *testing.T) []oracleCase {
 				ObjectAtom(Var("O")),
 				Cmp(TermOp(Var("N")), constraint.Eq, AttrOp(Var("O"), "n")),
 				Cmp(TermOp(Var("N")), constraint.Ge, TermOp(Const(object.Num(2))))),
-			// Temporal atom + entailment (the constraint-memo path).
+			// Temporal atom + entailment (interval containment).
 			NewRule(Rel("covers", Var("G1"), Var("G2")),
 				Interval(Var("G1")), Interval(Var("G2")),
 				Entails(AttrOp(Var("G2"), "duration"), AttrOp(Var("G1"), "duration"))),
@@ -160,12 +171,12 @@ func sameCreated(t *testing.T, name, label string, got, want []*object.Object) {
 }
 
 // TestCompiledMatchesSeedEvaluator compares the default engine against
-// the reference configuration (plan cache off, constraint memo off) on
-// extents, created objects, and RunStats.Derived, and against the naive
-// evaluator on extents.
+// the reference configuration (plan cache off) on extents, created
+// objects, and RunStats.Derived, and against the naive evaluator on
+// extents.
 func TestCompiledMatchesSeedEvaluator(t *testing.T) {
 	for _, tc := range oracleCases(t) {
-		ref := mustEngine(t, tc.st, tc.prog, WithoutPlanCache(), WithoutConstraintMemo())
+		ref := mustEngine(t, tc.st, tc.prog, WithoutPlanCache())
 		refExt, refCreated, refStats := fixpointOf(t, ref, tc.prog)
 
 		def := mustEngine(t, tc.st, tc.prog)
@@ -190,8 +201,9 @@ func TestCompiledMatchesSeedEvaluator(t *testing.T) {
 // pools of several sizes (run with -race in the Makefile's race target).
 func TestCompiledMatchesUnderParallel(t *testing.T) {
 	for _, tc := range oracleCases(t) {
-		ref := mustEngine(t, tc.st, tc.prog, WithoutPlanCache(), WithoutConstraintMemo())
+		ref := mustEngine(t, tc.st, tc.prog, WithoutPlanCache())
 		refExt, refCreated, refStats := fixpointOf(t, ref, tc.prog)
+		nvExt, _, _ := fixpointOf(t, mustEngine(t, tc.st, tc.prog, Naive()), tc.prog)
 		for _, workers := range []int{2, 4} {
 			par := mustEngine(t, tc.st, tc.prog, Parallel(workers))
 			parExt, parCreated, parStats := fixpointOf(t, par, tc.prog)
@@ -201,6 +213,7 @@ func TestCompiledMatchesUnderParallel(t *testing.T) {
 			if parStats.Derived != refStats.Derived {
 				t.Fatalf("%s: %s: Derived %d vs %d", tc.name, label, parStats.Derived, refStats.Derived)
 			}
+			sameExtents(t, tc.name, fmt.Sprintf("parallel(%d) vs naive", workers), parExt, nvExt)
 		}
 	}
 }

@@ -30,7 +30,6 @@ type Engine struct {
 	useMemberIndex bool
 	useJoinIndex   bool
 	usePlanCache   bool
-	memoOff        bool
 	maxRounds      int
 	maxCreated     int
 	maxDerived     int
@@ -157,16 +156,16 @@ type RunStats struct {
 	Created int // generalized interval objects created by ⊕
 	Firings int // successful rule head instantiations (incl. duplicates)
 
-	// Constraint-solver memo traffic attributed to this run. The counters
-	// are threaded through the run's solver budget, so each engine counts
-	// exactly its own lookups: concurrent engines sharing the process-wide
-	// memo no longer double-count each other's traffic, and their per-run
-	// sums add up to the global constraint.MemoSnapshot delta.
+	// Constraint-solver memo lookups made under the run's budget. The
+	// engine decides every constraint filter without the solver (`=>` by
+	// interval containment, Allen relations directly), so both read 0;
+	// the memo serves the static analyser and the constraint package API.
 	MemoHits   uint64
 	MemoMisses uint64
 
-	// SolverSteps is the number of elementary constraint-solver steps the
-	// run consumed (compare MaxSolverSteps).
+	// SolverSteps is the number of constraint-filter steps the run
+	// consumed (compare MaxSolverSteps): one per `=>` or temporal-relation
+	// check.
 	SolverSteps int64
 }
 
@@ -206,12 +205,6 @@ func WithoutJoinIndex() Option { return func(e *Engine) { e.useJoinIndex = false
 // delta) task re-plans and re-classifies the rule body, as the seed
 // evaluator did. Ablation knob for benchmarking the cache's contribution.
 func WithoutPlanCache() Option { return func(e *Engine) { e.usePlanCache = false } }
-
-// WithoutConstraintMemo turns the constraint-solver memo off for the
-// duration of this engine's Run. The memo is process-wide, so this also
-// affects other engines running concurrently — it is an ablation knob for
-// benchmarks, not a per-engine isolation mechanism.
-func WithoutConstraintMemo() Option { return func(e *Engine) { e.memoOff = true } }
 
 // MaxRounds bounds the number of TP iterations (a safety net; the
 // language guarantees termination, so hitting the bound is reported as an
@@ -367,21 +360,14 @@ func (e *Engine) runFixpoint() error {
 }
 
 // runGuarded wraps a fixpoint computation (full or incremental) with the
-// shared run scaffolding: the memo ablation toggle, the solver budget
-// that carries cancellation into constraint evaluation, the EDB
-// snapshot, and the stats/profile finalizers.
+// shared run scaffolding: the solver budget that carries MaxSolverSteps
+// and cancellation into constraint filters, the EDB snapshot, and the
+// stats/profile finalizers.
 func (e *Engine) runGuarded(body func() error) error {
-	if e.memoOff {
-		prev := constraint.SetMemoEnabled(false)
-		defer constraint.SetMemoEnabled(prev)
-	}
 	e.budget = constraint.NewBudget(e.maxSolverSteps, e.checkCancel)
 	start := time.Now()
 	defer e.publishStats() // registered first: runs after the finalizer below
 	defer func() {
-		// Memo lookups are counted per-engine through the run's budget
-		// (solver calls carry it), so concurrent engines sharing the
-		// process-wide memo attribute each lookup to exactly one run.
 		e.stats.MemoHits, e.stats.MemoMisses = e.budget.MemoCounts()
 		e.stats.SolverSteps = e.budget.Spent()
 		if e.prof != nil {

@@ -6,14 +6,13 @@ import (
 	"testing"
 	"time"
 
-	"videodb/internal/constraint"
 	"videodb/internal/interval"
 	"videodb/internal/object"
 	"videodb/internal/store"
 )
 
 // entailStore builds n generalized intervals with varied spans, so Entail
-// checks exercise the constraint solver (and its memo) across rounds.
+// checks both hold and fail.
 func entailStore(t testing.TB, n int) *store.Store {
 	t.Helper()
 	st := store.New()
@@ -29,8 +28,7 @@ func entailStore(t testing.TB, n int) *store.Store {
 }
 
 // entailProgram derives the pairs (G1, G2) whose durations entail: a
-// memo-heavy quadratic workload (every pair re-solves the same small set
-// of duration formulas).
+// quadratic workload of n² `=>` checks over n intervals.
 func entailProgram() Program {
 	return NewProgram(NewRule(
 		Rel("cover", Var("G1"), Var("G2")),
@@ -40,53 +38,11 @@ func entailProgram() Program {
 	))
 }
 
-// TestMemoStatsPerEngine is the double-counting regression test: two
-// engines running memo-heavy programs concurrently must report per-engine
-// MemoHits+MemoMisses that sum exactly to the global memo counter delta.
-// Under the old snapshot-and-diff accounting each engine counted the
-// other's traffic too, so the per-engine sum exceeded the global delta.
-func TestMemoStatsPerEngine(t *testing.T) {
-	constraint.ResetMemo()
-	before := constraint.MemoSnapshot()
-
-	const engines = 4
-	var wg sync.WaitGroup
-	stats := make([]RunStats, engines)
-	for i := 0; i < engines; i++ {
-		e := mustEngine(t, entailStore(t, 40+i), entailProgram())
-		wg.Add(1)
-		go func(i int, e *Engine) {
-			defer wg.Done()
-			if err := e.Run(); err != nil {
-				t.Errorf("engine %d: %v", i, err)
-				return
-			}
-			stats[i] = e.Stats()
-		}(i, e)
-	}
-	wg.Wait()
-	after := constraint.MemoSnapshot()
-
-	globalDelta := (after.Hits - before.Hits) + (after.Misses - before.Misses)
-	var perEngine uint64
-	for i, st := range stats {
-		if st.MemoHits+st.MemoMisses == 0 {
-			t.Errorf("engine %d reports no memo traffic; the workload should be memo-heavy", i)
-		}
-		perEngine += st.MemoHits + st.MemoMisses
-	}
-	if perEngine != globalDelta {
-		t.Errorf("per-engine memo lookups sum to %d, global delta is %d (double-counting?)",
-			perEngine, globalDelta)
-	}
-}
-
 // TestProfileMatchesRunStats checks the profile's totals against the
 // run's statistics: rounds, firings and derived sums must match exactly,
 // and (under serial evaluation) the per-rule times must sum to within the
 // total round time.
 func TestProfileMatchesRunStats(t *testing.T) {
-	constraint.ResetMemo() // a cold memo forces real solves, so SolverSteps > 0
 	st := entailStore(t, 30)
 	for i := 0; i < 10; i++ {
 		st.AddFact(store.NewFact("next",
