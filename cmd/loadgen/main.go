@@ -9,7 +9,7 @@
 //	        [-seed 1] [-corpus-duration 600] [-objects 40]
 //	        [-clients 100000] [-zipf 1.1]
 //	        [-steps 100,200,400,800,1600,3200] [-step-duration 5s]
-//	        [-timeout 2s] [-smoke] [-o BENCH_PR10.json]
+//	        [-timeout 2s] [-smoke] [-o report.json]
 //
 // Without -url it starts an in-process server (admission control per the
 // flags) over a videogen corpus, so one command reproduces the whole
@@ -22,9 +22,9 @@
 // corpus (cheap fact probes through a self-join scan).
 //
 // Per step it records sent/200/429/503, client timeouts, latency
-// percentiles of accepted requests, throughput, and reject rate, then
-// writes all steps to -o (BENCH_PR10.json format). It exits non-zero if
-// graceful degradation is violated: beyond the first step that rejects
+// percentiles of accepted requests, throughput, and reject rate, and logs
+// one line per step; -o also writes all steps as JSON. It exits non-zero
+// if graceful degradation is violated: beyond the first step that rejects
 // (saturation), accepted-request p99 must stay within 2x the
 // pre-saturation p99, and no accepted request may be dropped (503).
 // -smoke shrinks everything to a ~30s CI-sized run with the same
@@ -95,7 +95,7 @@ func parseFlags() (config, error) {
 	steps := flag.String("steps", "100,200,400,800,1600,3200", "offered-load steps in requests/second")
 	flag.DurationVar(&c.stepDur, "step-duration", 5*time.Second, "time spent at each offered-load step")
 	flag.DurationVar(&c.timeout, "timeout", 2*time.Second, "client-side request timeout")
-	flag.StringVar(&c.out, "o", "BENCH_PR10.json", "output JSON file")
+	flag.StringVar(&c.out, "o", "", "also write the per-step report to this JSON file")
 	flag.BoolVar(&c.smoke, "smoke", false, "CI-sized run: small corpus, low load, same assertions")
 	flag.Parse()
 
@@ -296,7 +296,7 @@ func percentileMs(sorted []time.Duration, p float64) float64 {
 	return float64(sorted[i]) / 1e6
 }
 
-// report is the BENCH_PR10.json shape.
+// report is the -o JSON shape.
 type report struct {
 	Generated  string                 `json:"generated"`
 	GOOS       string                 `json:"goos"`
@@ -420,15 +420,16 @@ func run() error {
 		Results: results,
 	}
 	problems := assess(results, &rep)
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
+	if c.out != "" {
+		data, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(c.out, append(data, '\n'), 0o644); err != nil {
+			return err
+		}
+		log.Printf("loadgen: wrote %s", c.out)
 	}
-	if err := os.WriteFile(c.out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	log.Printf("loadgen: wrote %s", c.out)
 	if len(problems) > 0 {
 		return fmt.Errorf("graceful degradation violated:\n  %s", strings.Join(problems, "\n  "))
 	}

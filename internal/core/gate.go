@@ -15,7 +15,7 @@ import "context"
 // internal/server implements its tenant-aware admission controller at
 // the HTTP layer (where the tenant identity and the 429 wire contract
 // live, and where a rejection can skip request parsing entirely); the
-// DB-level gate serves embedders that drive core directly — cmd/bench,
+// DB-level gate serves embedders that drive core directly — benchmarks,
 // scripts, an in-process loadgen — with exactly the same semantics.
 //
 // A Gate must not call back into the DB's evaluation entrypoints: the

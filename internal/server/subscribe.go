@@ -575,8 +575,8 @@ type SSEEvent struct {
 
 // ReadSSE parses the next event frame from an SSE stream. Comment lines
 // are skipped; io.EOF surfaces when the stream ends. It exists for
-// clients of /v1/subscribe (tests and cmd/bench use it) and implements
-// just the subset of the SSE grammar the server emits.
+// clients of /v1/subscribe (tests and the bench/ workloads use it) and
+// implements just the subset of the SSE grammar the server emits.
 func ReadSSE(br *bufio.Reader) (SSEEvent, error) {
 	var ev SSEEvent
 	seen := false
