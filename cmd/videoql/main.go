@@ -6,6 +6,10 @@
 //	videoql [-db snapshot.json | -data DIR] [script.vql ...]
 //	videoql vet [-json] [-db snapshot.json | -data DIR] script.vql ...
 //
+// -data opens a durable database directory on the segment backend; -db
+// loads a snapshot (the export format \save writes) into a volatile
+// in-memory database.
+//
 // The vet subcommand statically analyzes scripts (typo'd predicates,
 // arity clashes, provably dead rules, unreachable rules, perf lints)
 // without evaluating them, and exits 1 when any diagnostic is an error.
@@ -45,7 +49,7 @@ func main() {
 		os.Exit(runVet(os.Args[2:], os.Stdout, os.Stderr))
 	}
 	dbPath := flag.String("db", "", "load a database snapshot before running")
-	dataDir := flag.String("data", "", "open a durable database directory (WAL + checkpoints)")
+	dataDir := flag.String("data", "", "open a durable database directory (segment files)")
 	interactive := flag.Bool("i", false, "force an interactive prompt after scripts")
 	flag.Parse()
 
@@ -55,7 +59,7 @@ func main() {
 		fatal(fmt.Errorf("-db and -data are mutually exclusive"))
 	case *dataDir != "":
 		var err error
-		db, err = core.Open(*dataDir)
+		db, err = core.OpenSegment(*dataDir)
 		if err != nil {
 			fatal(err)
 		}

@@ -30,7 +30,7 @@ func runVet(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
 	dbPath := fs.String("db", "", "load a database snapshot before analyzing")
-	dataDir := fs.String("data", "", "open a durable database directory before analyzing")
+	dataDir := fs.String("data", "", "open a durable database directory (segment files) before analyzing")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: videoql vet [-json] [-db snapshot.json | -data DIR] script.vql ...")
 		fs.PrintDefaults()
@@ -50,7 +50,7 @@ func runVet(args []string, stdout, stderr io.Writer) int {
 	var db *core.DB
 	if *dataDir != "" {
 		var err error
-		db, err = core.Open(*dataDir)
+		db, err = core.OpenSegment(*dataDir)
 		if err != nil {
 			fmt.Fprintln(stderr, "videoql vet:", err)
 			return 2

@@ -3,18 +3,16 @@
 //
 // Usage:
 //
-//	videoserver [-addr :8080] [-data DIR | -db snapshot.json]
-//	            [-backend mem|segment] [-block-cache BYTES]
+//	videoserver [-addr :8080] [-data DIR [-block-cache BYTES] | -db snapshot.json]
 //	            [-query-timeout 0] [-max-derived N]
 //	            [-max-concurrent 0] [-queue-depth 0] [-per-tenant]
 //	            [-slow-query 0] [-access-log] [-pprof] [script.vql ...]
 //
-// With -data the database is durable in DIR; -backend selects the
-// layout: "mem" (default) keeps every fact in memory behind a
-// write-ahead log, "segment" keeps facts in immutable on-disk segment
-// files behind a byte-budgeted block cache (-block-cache), so the
-// corpus can exceed RAM and restarts skip WAL replay. With -db a
-// snapshot is loaded into memory. Scripts run before serving (their
+// With -data the database is durable in DIR: facts live in immutable
+// on-disk segment files behind a byte-budgeted block cache
+// (-block-cache), so the corpus can exceed RAM and a restart reads only
+// the manifest and a short tail log. With -db a snapshot is loaded into
+// a volatile in-memory database. Scripts run before serving (their
 // query output goes to stdout). -query-timeout bounds each request's
 // evaluation (0 = no bound). On SIGINT/SIGTERM the server drains
 // in-flight requests and closes the database before exiting, so a
@@ -64,10 +62,9 @@ func main() {
 // used to leave a durable store without its final flush.
 func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
-	dataDir := flag.String("data", "", "durable database directory")
-	backend := flag.String("backend", "mem", "durable storage layout: mem (WAL + in-memory facts) or segment (on-disk segment files)")
-	blockCache := flag.Int64("block-cache", 0, "segment backend block-cache budget in bytes (0 = default 32 MiB)")
-	snapshot := flag.String("db", "", "snapshot to load (in-memory mode)")
+	dataDir := flag.String("data", "", "durable database directory (segment files)")
+	blockCache := flag.Int64("block-cache", 0, "block-cache budget in bytes for -data (0 = default 32 MiB)")
+	snapshot := flag.String("db", "", "snapshot to load into a volatile in-memory database")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-request query evaluation bound (0 = unlimited)")
 	maxDerived := flag.Int("max-derived", 0, "max derived tuples per query (0 = engine default)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "max concurrent evaluations per tenant (0 = unlimited)")
@@ -89,21 +86,12 @@ func run() error {
 	switch {
 	case *dataDir != "" && *snapshot != "":
 		return errors.New("videoserver: -data and -db are mutually exclusive")
-	case *dataDir == "" && *backend != "mem":
-		return errors.New("videoserver: -backend requires -data")
 	case *dataDir != "":
-		switch *backend {
-		case "mem":
-			db, err = core.Open(*dataDir)
-		case "segment":
-			var segOpts []segment.Option
-			if *blockCache > 0 {
-				segOpts = append(segOpts, segment.WithBlockCacheBytes(*blockCache))
-			}
-			db, err = core.OpenSegment(*dataDir, segOpts...)
-		default:
-			return fmt.Errorf("videoserver: unknown -backend %q (want mem or segment)", *backend)
+		var segOpts []segment.Option
+		if *blockCache > 0 {
+			segOpts = append(segOpts, segment.WithBlockCacheBytes(*blockCache))
 		}
+		db, err = core.OpenSegment(*dataDir, segOpts...)
 		if err != nil {
 			return err
 		}

@@ -22,7 +22,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	db, err := core.Open(dir) // durable: WAL + checkpoints
+	db, err := core.OpenSegment(dir) // durable: segment files + tail log
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -148,8 +148,8 @@ func (db *DB) Attach(intervalOID object.OID, entities ...object.OID) error {
 
 // Relate asserts the fact rel(args...) (an element of R). The error is
 // non-nil only on a durable store that refuses the write because its
-// write-ahead log is poisoned or the append failed (fail-fast; the
-// in-memory state is rolled back, nothing is acknowledged).
+// backend is poisoned or the write failed (fail-fast; nothing is
+// applied, nothing is acknowledged).
 func (db *DB) Relate(rel string, args ...object.OID) error {
 	_, err := db.st.AddFactErr(store.RefFact(rel, args...))
 	return err

@@ -11,26 +11,13 @@ import (
 	"videodb/internal/store/segment"
 )
 
-// Open opens (or creates) a durable video database in dir: mutations are
-// written to a write-ahead log and recovered on the next Open; call
-// Checkpoint to compact the log into a snapshot and Close before exiting.
-// Rules are program source, not data — re-add them (or reload scripts)
-// after opening.
-func Open(dir string, opts ...store.DurableOption) (*DB, error) {
-	st, err := store.OpenDurable(dir, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return New(WithStore(st)), nil
-}
-
-// OpenSegment opens (or creates) a video database on the persistent
-// segment backend in dir: facts live in immutable segment files served
-// through a byte-budgeted block cache (the corpus does not need to fit
-// in memory), recovery reads the manifest plus a short tail log instead
-// of replaying a full WAL, and Checkpoint/Close flush the memtable into
-// a new segment. Rules are program source, not data — re-add them after
-// opening.
+// OpenSegment opens (or creates) a durable video database on the
+// persistent segment backend in dir: facts live in immutable segment
+// files served through a byte-budgeted block cache (the corpus does not
+// need to fit in memory), recovery reads the manifest plus a short tail
+// log, and Checkpoint/Close flush the memtable into a new segment. Call
+// Close before exiting. Rules are program source, not data — re-add them
+// (or reload scripts) after opening.
 func OpenSegment(dir string, opts ...segment.Option) (*DB, error) {
 	b, err := segment.Open(dir, opts...)
 	if err != nil {
@@ -44,8 +31,8 @@ func OpenSegment(dir string, opts ...segment.Option) (*DB, error) {
 	return New(WithStore(st)), nil
 }
 
-// Checkpoint compacts the durable database's log into a snapshot (on the
-// segment backend: flushes the memtable and truncates the tail log).
+// Checkpoint flushes the durable database's memtable into a new segment
+// and truncates its tail log; an in-memory database returns an error.
 func (db *DB) Checkpoint() error { return db.st.Checkpoint() }
 
 // Close stops all live subscriptions, flushes and closes the database's

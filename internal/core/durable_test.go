@@ -1,6 +1,10 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"videodb/internal/interval"
@@ -9,7 +13,7 @@ import (
 
 func TestDurableDB(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir)
+	db, err := OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +36,7 @@ func TestDurableDB(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir)
+	re, err := OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +52,47 @@ func TestDurableDB(t *testing.T) {
 	rs, err = re.Query("?- Interval(G), o1 in G.entities.")
 	if err != nil || rs.Count() != 1 {
 		t.Errorf("query after recovery: %v %v", rs, err)
+	}
+}
+
+// TestOpenSegmentRefusesWALDirectory: a directory in the write-ahead-log
+// layout of earlier builds must not open as an empty database, and the
+// refusal must leave every file as it was.
+func TestOpenSegmentRefusesWALDirectory(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"db.wal":      `{"seq":1,"op":"put","object":{"oid":"o1"},"crc":1}` + "\n",
+		"db.snapshot": `{"version":1,"objects":[],"facts":[],"checksum":""}` + "\n",
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := OpenSegment(dir)
+	if err == nil {
+		db.Close()
+		t.Fatal("OpenSegment opened a write-ahead-log directory")
+	}
+	for _, want := range []string{"db.wal", "db.snapshot", `\save`, "-db snapshot.json"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, e := range entries {
+		body, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[e.Name()] = string(body)
+	}
+	if !reflect.DeepEqual(got, files) {
+		t.Errorf("refused open changed the directory: %q", got)
 	}
 }
 

@@ -106,8 +106,8 @@ type planStep struct {
 	// stepRel
 	pred       string
 	args       []argSpec
-	probes     []int // argument positions statically bound at this step
-	varProbes  []int // probes bound by variables (probed after constant pushdown)
+	probes     []int  // argument positions statically bound at this step
+	varProbes  []int  // probes bound by variables (probed after constant pushdown)
 	constSig   string // cache key for constant-pushdown scans ("" = no constants)
 	freshSlots []int  // slots this step binds (cleared on backtrack)
 

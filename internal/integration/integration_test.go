@@ -3,7 +3,6 @@
 package integration
 
 import (
-	"os"
 	"strings"
 	"testing"
 
@@ -13,25 +12,10 @@ import (
 	"videodb/internal/video"
 )
 
-// openTestDB opens the durable database under the backend selected by
-// VIDEODB_TEST_BACKEND ("mem", the default, or "segment"), so CI can run
-// this whole scenario — crash cycle included — against both storage
-// layouts.
+// openTestDB opens the durable database in dir on the segment backend.
 func openTestDB(t *testing.T, dir string) *core.DB {
 	t.Helper()
-	backend := os.Getenv("VIDEODB_TEST_BACKEND")
-	var (
-		db  *core.DB
-		err error
-	)
-	switch backend {
-	case "", "mem":
-		db, err = core.Open(dir)
-	case "segment":
-		db, err = core.OpenSegment(dir)
-	default:
-		t.Fatalf("VIDEODB_TEST_BACKEND = %q (want mem or segment)", backend)
-	}
+	db, err := core.OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

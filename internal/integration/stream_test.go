@@ -24,9 +24,8 @@ import (
 // actual `videogen -stream` binary while an SSE subscriber holds a
 // standing query, and at quiescence the subscriber's accumulated deltas
 // must equal the one-shot answer for the same goal exactly (the
-// differential oracle). It runs against whichever storage backend
-// VIDEODB_TEST_BACKEND selects, so CI exercises the changelog → pump →
-// SSE path over both the WAL and segment layouts.
+// differential oracle). It runs on the durable segment backend, so it
+// exercises the changelog → pump → SSE path over the on-disk layout.
 func TestStreamingSubscriptionE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs videogen")

@@ -8,9 +8,8 @@ import (
 )
 
 // ErrLatch enforces the PR 5 fail-fast contract around latched
-// write-path errors (store.Store.walErr, segment.Store.err): once the
-// WAL or segment backend has failed, no further mutation may be
-// acknowledged.
+// write-path errors (store.Store.backendErr, segment.Store.err): once a
+// backend write has failed, no further mutation may be acknowledged.
 //
 // A latch is an error-typed struct field whose declaration comment
 // mentions "latch". For each owner type the analyzer derives the gate
@@ -27,7 +26,7 @@ import (
 var ErrLatch = &Analyzer{
 	Name: "errlatch",
 	Doc: "flag write-path methods that mutate state without consulting the latched " +
-		"WAL/backend error, and latch assignments that drop the first failure",
+		"backend error, and latch assignments that drop the first failure",
 	Scope: []string{"internal/store", "internal/store/segment"},
 	Run:   runErrLatch,
 }
@@ -128,7 +127,7 @@ func recvNamed(pass *Pass, fd *ast.FuncDecl) *types.Named {
 }
 
 // isLatchRead reports whether e reads l's field off the method
-// receiver (recv.walErr, s.err, …).
+// receiver (recv.backendErr, s.err, …).
 func isLatchRead(pass *Pass, l *latchInfo, recv string, e ast.Expr) bool {
 	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != l.field {
@@ -222,14 +221,14 @@ func checkGateBeforeMutation(pass *Pass, fd *ast.FuncDecl, l *latchInfo) {
 	if firstMutation != nil {
 		pass.Reportf(firstMutation.Pos(),
 			"%s.%s mutates receiver state before consulting the latched error %s.%s: "+
-				"once the WAL/backend has failed no further mutation may be acknowledged "+
+				"once the backend has failed no further mutation may be acknowledged "+
 				"(gate with the latch check first)",
 			l.owner.Obj().Name(), fd.Name.Name, l.owner.Obj().Name(), l.field)
 	}
 }
 
 // sameReceiverCall reports whether the call's receiver chain is rooted
-// at recv (s.walHealthy(), s.tail.healthy()).
+// at recv (s.writable(), s.tail.healthy()).
 func sameReceiverCall(call *ast.CallExpr, recv string) bool {
 	x := recvOfMethodCall(call)
 	if x == nil {

@@ -2,7 +2,7 @@
 // analyzers that mechanically enforce the engine invariants DESIGN.md
 // states in prose — lock discipline in the store/engine packages
 // (lockcheck), context propagation on request-serving paths (ctxcheck),
-// the WAL/backend error-latch fail-fast contract (errlatch), and the
+// the backend error-latch fail-fast contract (errlatch), and the
 // videodb_* metric conventions with their Prometheus/expvar mirror
 // (metriccheck).
 //

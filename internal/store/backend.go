@@ -1,17 +1,17 @@
 package store
 
 import (
+	"fmt"
 	"sort"
 
 	"videodb/internal/object"
 )
 
 // Backend is a pluggable fact/durability engine behind the Store facade.
-// The default (nil backend) keeps every fact in the in-memory factRel
-// maps with an optional WAL; a persistent backend (internal/store/segment)
-// owns the facts itself — on disk, loaded lazily — and logs object
-// mutations, while the Store keeps owning the object maps and secondary
-// indexes.
+// Without one the store is volatile: every fact lives in the in-memory
+// factRel maps. A persistent backend (internal/store/segment) owns the
+// facts itself — on disk, loaded lazily — and logs object mutations,
+// while the Store keeps owning the object maps and secondary indexes.
 //
 // Locking contract: the Store invokes every mutating method (AddFact,
 // DeleteFact, LogPutObject, LogDeleteObject, Flush, Compact, Close) under
@@ -131,8 +131,75 @@ func (s *Store) Compact() error {
 	return nil
 }
 
+// Checkpoint persists the backend's volatile state (see Backend.Flush).
+// A volatile store has nothing to checkpoint and returns an error.
+func (s *Store) Checkpoint() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.backend == nil {
+		return fmt.Errorf("store: Checkpoint requires a durable store (OpenBackend)")
+	}
+	if err := s.writable(); err != nil {
+		return err
+	}
+	return s.backend.Flush()
+}
+
+// Close flushes and closes the backend (a no-op for volatile stores). It
+// surfaces a write failure latched during the session.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.backend == nil {
+		return nil
+	}
+	err := s.backend.Close()
+	if s.backendErr != nil {
+		return fmt.Errorf("store: a backend write failed during the session: %w", s.backendErr)
+	}
+	return err
+}
+
+// writable refuses new mutations once a backend write has failed: the
+// durable state no longer matches the store, so acknowledging further
+// writes could lose them across recovery. Callers hold s.mu and check
+// this before touching state; reads remain available. Reopening the
+// directory recovers exactly the acknowledged prefix.
+func (s *Store) writable() error {
+	if s.backendErr != nil {
+		return fmt.Errorf("store: backend poisoned by an earlier write failure (reopen the store to resume writes): %w", s.backendErr)
+	}
+	return nil
+}
+
+// latch records err as the first backend write failure, if it is one,
+// and returns it. The caller holds s.mu and rolls its mutation back.
+func (s *Store) latch(err error) error {
+	if err != nil && s.backendErr == nil {
+		s.backendErr = err
+	}
+	return err
+}
+
+// logPut durably records an object upsert on a durable store; a volatile
+// store has nothing to log.
+func (s *Store) logPut(o *object.Object) error {
+	if s.backend == nil {
+		return nil
+	}
+	return s.latch(s.backend.LogPutObject(o))
+}
+
+// logDelete durably records an object deletion on a durable store.
+func (s *Store) logDelete(oid object.OID) error {
+	if s.backend == nil {
+		return nil
+	}
+	return s.latch(s.backend.LogDeleteObject(oid))
+}
+
 // addFactBackend is the backend branch of AddFactErr; the caller holds
-// the write lock and has checked walHealthy.
+// the write lock and has checked writable.
 func (s *Store) addFactBackend(f Fact) (bool, error) {
 	key := f.Key()
 	if s.backend.HasFact(f.Name, key) {
@@ -143,10 +210,7 @@ func (s *Store) addFactBackend(f Fact) (bool, error) {
 	g := Fact{Name: f.Name, Args: args}
 	newRel := s.backend.FactCount(f.Name) == 0
 	if err := s.backend.AddFact(g, key); err != nil {
-		if s.walErr == nil {
-			s.walErr = err
-		}
-		return false, err
+		return false, s.latch(err)
 	}
 	if newRel {
 		s.schemaVer++
@@ -165,10 +229,7 @@ func (s *Store) deleteFactBackend(f Fact) (bool, error) {
 	copy(args, f.Args)
 	g := Fact{Name: f.Name, Args: args}
 	if err := s.backend.DeleteFact(g, key); err != nil {
-		if s.walErr == nil {
-			s.walErr = err
-		}
-		return false, err
+		return false, s.latch(err)
 	}
 	if s.backend.FactCount(f.Name) == 0 {
 		s.schemaVer++

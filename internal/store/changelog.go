@@ -8,17 +8,18 @@ import (
 
 // Changelog: subscribers observe every acknowledged mutation of the
 // store, in mutation order. This is the feed that incremental view
-// maintenance (core.Materialize) consumes; WAL replay drives the same
-// mutators, so a subscriber attached after OpenDurable sees exactly the
-// post-recovery mutations.
+// maintenance (core.Materialize) consumes. Recovery adopts the backend's
+// state before any subscriber can attach, so a subscriber sees exactly
+// the post-recovery mutations.
 //
 // Contract:
 //
 //   - Events are delivered synchronously, under the store's write lock,
 //     strictly after the mutation has been applied AND (on a durable
-//     store) its WAL record appended. A mutation that is rejected or
+//     store) logged by the backend. A mutation that is rejected or
 //     rolled back — duplicate fact, missing oid, poisoned or failing
-//     log — emits nothing: the stream contains acknowledged changes only.
+//     backend — emits nothing: the stream contains acknowledged changes
+//     only.
 //   - Handlers must be fast and must not call back into the store (the
 //     write lock is held); queue the event and process it later.
 //   - Events fire only on actual state change, so for a given fact key
@@ -68,7 +69,6 @@ type Event struct {
 }
 
 type subscriber struct {
-	id   int
 	fn   func(Event)
 	dead *atomic.Bool
 }
@@ -86,9 +86,9 @@ type subscriber struct {
 func (s *Store) Subscribe(fn func(Event)) (cancel func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextSub++
 	dead := &atomic.Bool{}
-	s.subs = append(s.subs, subscriber{id: s.nextSub, fn: fn, dead: dead})
+	//videolint:ignore errlatch subscribing registers a reader of acknowledged events, not a durable write; a poisoned store still serves its readers
+	s.subs = append(s.subs, subscriber{fn: fn, dead: dead})
 	return func() { dead.Store(true) }
 }
 

@@ -91,31 +91,14 @@ func (r *factRel) add(key string, f Fact) {
 	r.list = append(r.list, f)
 }
 
-// undoAdd reverts an add that has not been observed by anyone (WAL append
-// failed under the same critical section). The fact is necessarily the
-// last list entry.
-func (r *factRel) undoAdd(key string) {
-	delete(r.pos, key)
-	r.list = r.list[:len(r.list)-1]
-}
-
-// tombstone removes the fact by key, returning the stored fact and its
-// slot so a WAL failure can restore it in place.
-func (r *factRel) tombstone(key string) (Fact, int) {
+// tombstone removes the fact by key, returning the stored fact.
+func (r *factRel) tombstone(key string) Fact {
 	i := r.pos[key]
 	f := r.list[i]
 	r.list[i] = Fact{}
 	delete(r.pos, key)
 	r.dead++
-	return f, i
-}
-
-// restore reverts a tombstone (WAL append failed before the deletion was
-// acknowledged).
-func (r *factRel) restore(key string, f Fact, i int) {
-	r.list[i] = f
-	r.pos[key] = i
-	r.dead--
+	return f
 }
 
 // maybeCompact rewrites the list without tombstones once they dominate,
@@ -150,25 +133,24 @@ func (r *factRel) each(fn func(Fact) bool) {
 
 // AddFact inserts the fact if not already present; it reports whether the
 // store changed. Facts with empty names are rejected (no change), as are
-// mutations on a durable store whose write-ahead log is poisoned (see
-// AddFactErr for the error).
+// mutations on a durable store whose backend is poisoned (see AddFactErr
+// for the error).
 func (s *Store) AddFact(f Fact) bool {
 	ok, _ := s.AddFactErr(f)
 	return ok
 }
 
 // AddFactErr is AddFact with the failure surfaced: on a durable store it
-// returns a non-nil error — and reports no change — if the write-ahead
-// log is poisoned or the append fails. A failed append rolls the
-// in-memory insertion back, so an unacknowledged fact is never present
-// after recovery.
+// returns a non-nil error — and reports no change — if the backend is
+// poisoned or its write fails, so an unacknowledged fact is never
+// present after recovery.
 func (s *Store) AddFactErr(f Fact) (bool, error) {
 	if f.Name == "" {
 		return false, fmt.Errorf("store: fact must have a non-empty relation name")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.walHealthy(); err != nil {
+	if err := s.writable(); err != nil {
 		return false, err
 	}
 	if s.backend != nil {
@@ -189,14 +171,6 @@ func (s *Store) AddFactErr(f Fact) (bool, error) {
 	copy(args, f.Args)
 	g := Fact{Name: f.Name, Args: args}
 	rel.add(key, g)
-	if err := s.log(walRecord{Op: walAddFact, Fact: &jsonFact{Name: f.Name, Args: args}}); err != nil {
-		rel.undoAdd(key)
-		if rel.live() == 0 && rel.dead == 0 {
-			delete(s.facts, f.Name)
-			s.schemaVer++
-		}
-		return false, err
-	}
 	s.notify(Event{Kind: EventAddFact, Fact: g})
 	return true, nil
 }
@@ -213,8 +187,8 @@ func (s *Store) HasFact(f Fact) bool {
 }
 
 // DeleteFact removes the exact fact; it reports whether it was present
-// and removed. On a durable store with a poisoned write-ahead log the
-// deletion is refused (see DeleteFactErr for the error).
+// and removed. On a durable store with a poisoned backend the deletion
+// is refused (see DeleteFactErr for the error).
 func (s *Store) DeleteFact(f Fact) bool {
 	ok, _ := s.DeleteFactErr(f)
 	return ok
@@ -222,12 +196,12 @@ func (s *Store) DeleteFact(f Fact) bool {
 
 // DeleteFactErr is DeleteFact with the failure surfaced: on a durable
 // store it returns a non-nil error — and leaves the fact in place — if
-// the write-ahead log is poisoned or the append fails, so an
-// unacknowledged deletion is never applied.
+// the backend is poisoned or its write fails, so an unacknowledged
+// deletion is never applied.
 func (s *Store) DeleteFactErr(f Fact) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.walHealthy(); err != nil {
+	if err := s.writable(); err != nil {
 		return false, err
 	}
 	if s.backend != nil {
@@ -241,11 +215,7 @@ func (s *Store) DeleteFactErr(f Fact) (bool, error) {
 	if !rel.has(key) {
 		return false, nil
 	}
-	stored, slot := rel.tombstone(key)
-	if err := s.log(walRecord{Op: walDeleteFact, Fact: &jsonFact{Name: stored.Name, Args: stored.Args}}); err != nil {
-		rel.restore(key, stored, slot)
-		return false, err
-	}
+	stored := rel.tombstone(key)
 	if rel.live() == 0 {
 		delete(s.facts, f.Name)
 		s.schemaVer++

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"videodb/internal/object"
@@ -41,10 +42,6 @@ type payload struct {
 func (s *Store) buildPayload() payload {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.buildPayloadLocked()
-}
-
-func (s *Store) buildPayloadLocked() payload {
 	p := payload{Version: snapshotVersion}
 	// Deterministic object order for reproducible snapshots.
 	oids := make([]object.OID, 0, len(s.objects))
@@ -100,26 +97,16 @@ func savePayload(w io.Writer, p payload) error {
 }
 
 // Load replaces the contents of the store with a snapshot read from r. On
-// any error the store is left unchanged. Durable and backend stores
-// refuse Load: replacing state behind the write-ahead log would
-// desynchronize recovery — use Checkpoint-managed directories instead.
+// any error the store is left unchanged. Durable (backend) stores refuse
+// Load: replacing state behind the backend's log would desynchronize
+// recovery.
 //
 // Decoding and verification happen outside the lock; the durability
 // check, the state swap, the schema-version bump, and the reset
-// notification then share one write-lock critical section. (An earlier
-// version checked durability under a read lock, released it, and swapped
-// under a second lock — mutations racing the gap could be lost without
-// the swap ever observing them, and the missing schema bump left plan
-// caches serving plans compiled against the pre-Load relation schema.)
+// notification then share one write-lock critical section, so no
+// concurrent mutation is lost in a gap and plan caches see the new
+// schema version.
 func (s *Store) Load(r io.Reader) error {
-	// Advisory fail-fast before paying for the decode; the authoritative
-	// check runs again inside the write-lock critical section below.
-	s.mu.RLock()
-	durable := s.wal != nil || s.backend != nil
-	s.mu.RUnlock()
-	if durable {
-		return fmt.Errorf("store: Load is not supported on a durable store")
-	}
 	var snap snapshot
 	dec := json.NewDecoder(bufio.NewReader(r))
 	if err := dec.Decode(&snap); err != nil {
@@ -137,10 +124,9 @@ func (s *Store) Load(r io.Reader) error {
 		return fmt.Errorf("store: snapshot checksum mismatch (corrupted file?)")
 	}
 
-	//videolint:ignore lockcheck PR 7 fix shape: the RLock section is an advisory precheck; durability and staleness are re-validated under this write lock before the swap
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.wal != nil || s.backend != nil {
+	if s.backend != nil {
 		return fmt.Errorf("store: Load is not supported on a durable store")
 	}
 
@@ -159,6 +145,7 @@ func (s *Store) Load(r io.Reader) error {
 		fresh.AddFact(Fact{Name: f.Name, Args: f.Args})
 	}
 
+	//videolint:ignore errlatch Load is refused above on every store with a backend, and only a backend write can set the latch
 	s.objects = fresh.objects
 	s.facts = fresh.facts
 	s.entityIdx = fresh.entityIdx
@@ -180,25 +167,21 @@ func (s *Store) SaveFile(path string) error {
 	return writeSnapshotFile(path, s.buildPayload())
 }
 
-// saveFileLocked is SaveFile for callers already holding s.mu.
-func (s *Store) saveFileLocked(path string) error {
-	return writeSnapshotFile(path, s.buildPayloadLocked())
-}
-
 // writeSnapshotFile persists a snapshot atomically AND durably.
 //
 // Crash-ordering invariant: by the time this function returns, the
-// snapshot is on disk under its final name even across a power failure.
-// Checkpoint relies on this — it truncates the WAL immediately after, and
-// a crash between the two must find a complete snapshot, or acknowledged
-// writes are lost. That requires both fsyncs below: fsync(tmp) before the
-// rename (otherwise the kernel may order the rename's metadata ahead of
-// the data blocks, leaving a named but empty/partial file), and fsync of
-// the parent directory after (otherwise the rename itself may not have
-// reached the directory's on-disk entries, resurrecting the old snapshot
-// while the WAL is already truncated).
+// snapshot is on disk under its final name even across a power failure,
+// and a crash at any earlier instant leaves the previous file (if any)
+// intact — never a named but partial export. That requires both fsyncs
+// below: fsync(tmp) before the rename (otherwise the kernel may order the
+// rename's metadata ahead of the data blocks, leaving a named but
+// empty/partial file), and fsync of the parent directory after
+// (otherwise the rename itself may not have reached the directory's
+// on-disk entries). The temp file lives in the target's directory so the
+// rename never crosses a filesystem.
 func writeSnapshotFile(path string, p payload) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".videodb-*.tmp")
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".videodb-*.tmp")
 	if err != nil {
 		return err
 	}
@@ -217,7 +200,7 @@ func writeSnapshotFile(path string, p payload) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	return syncDir(dirOf(path))
+	return syncDir(dir)
 }
 
 // syncDir fsyncs a directory so a completed rename survives a crash.
@@ -238,13 +221,4 @@ func (s *Store) LoadFile(path string) error {
 	}
 	defer f.Close()
 	return s.Load(f)
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "."
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -117,4 +118,70 @@ func TestSaveFileLoadFile(t *testing.T) {
 	if err := loaded.LoadFile(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("LoadFile of missing path should fail")
 	}
+}
+
+// TestSnapshotTempFilesCleanedUp guards the atomic-write path: replacing
+// a snapshot, and a save whose rename fails, leave no temp file behind,
+// and the failed save leaves the previous snapshot intact.
+func TestSnapshotTempFilesCleanedUp(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "db.json")
+	s := newTestStore(t)
+	for i := 0; i < 2; i++ { // the second save replaces the first
+		if err := s.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Renaming a file onto a directory fails after the temp file is written.
+	if err := os.Mkdir(filepath.Join(dir, "blocked"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveFile(filepath.Join(dir, "blocked")); err == nil {
+		t.Fatal("SaveFile onto a directory should fail")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "db.json" && e.Name() != "blocked" {
+			t.Errorf("stray file after saves: %s", e.Name())
+		}
+	}
+	if err := New().LoadFile(path); err != nil {
+		t.Errorf("snapshot unreadable after a failed save: %v", err)
+	}
+}
+
+// FuzzLoad feeds arbitrary bytes to the snapshot decoder, the only
+// import format: Load must never panic, and a failed Load must leave the
+// store as it was.
+func FuzzLoad(f *testing.F) {
+	var buf bytes.Buffer
+	if err := newTestStore(f).Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	good := buf.Bytes()
+	for _, n := range []int{len(good), len(good) - 2, len(good) / 2, 1, 0} {
+		f.Add(good[:n])
+	}
+	// A checksum-valid snapshot whose content is invalid (empty oid).
+	buf.Reset()
+	bad := payload{Version: snapshotVersion, Objects: []*object.Object{object.NewEntity("")}}
+	if err := savePayload(&buf, bad); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := New()
+		s.Put(object.NewEntity("keep"))
+		s.AddFact(RefFact("r", "keep"))
+		if err := s.Load(bytes.NewReader(data)); err == nil {
+			return
+		}
+		if s.Len() != 1 || !s.Has("keep") || fmt.Sprint(s.Relations()) != "[r]" {
+			t.Fatalf("failed Load changed the store: %v %v", s.OIDs(), s.Relations())
+		}
+	})
 }

@@ -11,11 +11,10 @@ import (
 	"videodb/internal/store"
 )
 
-// Crash-recovery fault injection, mirroring the store's checkpoint crash
-// tests: each test manufactures the on-disk state a crash at a specific
-// instant would leave behind, reopens, and checks that exactly the
-// acknowledged state is recovered (or that corruption is refused, never
-// silently skipped).
+// Crash-recovery fault injection: each test manufactures the on-disk
+// state a crash at a specific instant would leave behind, reopens, and
+// checks that exactly the acknowledged state is recovered (or that
+// corruption is refused, never silently skipped).
 
 func readDirNames(t *testing.T, dir string) map[string]bool {
 	t.Helper()
@@ -316,7 +315,7 @@ func TestCorruptBlockSurfacesReadError(t *testing.T) {
 }
 
 // TestWriteFailurePoisonsBackend: a tail append failure must refuse the
-// mutation and every later one (fail-fast), like the WAL contract.
+// mutation and every later one (fail-fast).
 func TestWriteFailurePoisonsBackend(t *testing.T) {
 	dir := t.TempDir()
 	b, err := Open(dir)

@@ -13,7 +13,7 @@
 //   - restart cost is O(active set), not O(history): recovery reads the
 //     manifest, each segment's footer/index, the object snapshot, and
 //     replays only the tail log (bounded by the flush threshold) —
-//     never the full mutation history the WAL backend replays;
+//     never the full mutation history;
 //   - every state transition is crash-atomic: segment and object files
 //     are fsynced before the manifest that references them is renamed
 //     into place, and the manifest's TailSeq lets replay skip tail

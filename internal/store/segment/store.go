@@ -189,6 +189,9 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		return nil, err
 	}
 	if !ok {
+		if err := refuseWALLayout(dir); err != nil {
+			return nil, err
+		}
 		man = manifest{Version: manifestVersion, NextID: 1}
 	}
 	s.man = man
@@ -263,6 +266,25 @@ func Open(dir string, opts ...Option) (*Store, error) {
 
 	s.removeOrphans()
 	return s, nil
+}
+
+// refuseWALLayout fails when dir holds the write-ahead-log layout that
+// earlier builds wrote under -data (db.wal, db.snapshot) and this build
+// no longer reads. Opening it as a fresh segment database would present
+// the archive as empty; the error names the export path instead.
+func refuseWALLayout(dir string) error {
+	var found []string
+	for _, name := range []string{"db.wal", "db.snapshot"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			found = append(found, name)
+		}
+	}
+	if len(found) == 0 {
+		return nil
+	}
+	return fmt.Errorf("segment: %s holds %s from the write-ahead-log layout, which this build no longer opens; "+
+		`export it with an earlier build (videoql -data %s, then \save snapshot.json) and load the export with -db snapshot.json`,
+		dir, strings.Join(found, " and "), dir)
 }
 
 // rebuildDerived recomputes horizon, aggregate statistics, and resident
@@ -357,8 +379,7 @@ func (s *Store) healthy() error {
 
 // AddFact durably appends the fact and applies it to the memtable. The
 // caller has verified the fact is absent. A failed tail append leaves
-// state untouched and poisons the backend (fail-fast, mirroring the WAL
-// contract).
+// state untouched and poisons the backend (fail-fast).
 func (s *Store) AddFact(f store.Fact, key string) error {
 	if err := s.healthy(); err != nil {
 		return err
@@ -916,14 +937,13 @@ func (s *Store) Close() error {
 	if s.closed {
 		return nil
 	}
-	//videolint:ignore errlatch teardown bookkeeping: only the idempotency flag is set before the latch check, which gates the flush
-	s.closed = true
 	var ferr error
 	if s.err == nil {
 		ferr = s.flushLocked()
 	} else {
 		ferr = fmt.Errorf("segment: a write failed during the session: %w", s.err)
 	}
+	s.closed = true
 	if s.tail != nil {
 		if cerr := s.tail.close(); ferr == nil {
 			ferr = cerr

@@ -15,10 +15,9 @@ import (
 
 // The tail log is the segment backend's short write-ahead log: every
 // acknowledged mutation since the last flush, one CRC-protected JSON
-// record per line. Unlike the mem backend's WAL it never grows past the
-// flush threshold (a flush bakes its records into a segment + object
-// snapshot and truncates), which is what bounds recovery at O(active
-// set). A torn final record — crash mid-append — is detected and
+// record per line. It never grows past the flush threshold (a flush
+// bakes its records into a segment + object snapshot and truncates),
+// which is what bounds recovery at O(active set). A torn final record — crash mid-append — is detected and
 // truncated; corruption anywhere earlier is an error.
 
 type tailOp string

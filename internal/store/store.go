@@ -12,8 +12,10 @@
 //   - a sorted numeric index per attribute for range scans
 //     (FindByAttrRange).
 //
-// Persistence comes in two forms: checksummed snapshots (Save/Load) and a
-// durable mode (OpenDurable) with a write-ahead log and checkpoints.
+// A store built with New is volatile; OpenBackend makes it durable by
+// routing facts and object mutations through a persistent Backend (the
+// segment backend, internal/store/segment). Checksummed JSON snapshots
+// (Save/Load, SaveFile/LoadFile) are the import/export format.
 //
 // The store is safe for concurrent use. Objects returned by Get are owned
 // by the store and must not be mutated; use Update to modify an object
@@ -37,8 +39,7 @@ type Store struct {
 	facts   map[string]*factRel // relation name -> facts (see fact.go)
 
 	// Changelog subscribers (see changelog.go).
-	subs    []subscriber
-	nextSub int
+	subs []subscriber
 
 	// Secondary indexes (see package comment). Maintained incrementally
 	// except for the interval tree, which is rebuilt lazily.
@@ -58,18 +59,14 @@ type Store struct {
 	// changes. Read by SchemaVersion; plan caches key on it.
 	schemaVer uint64
 
-	// Durability (nil for purely in-memory stores; see OpenDurable).
-	// walErr latches the first log-append failure; once set, every
-	// subsequent mutation is refused before touching state (fail-fast;
-	// see walHealthy), and Close/Checkpoint surface the error too.
-	wal    *wal
-	walDir string
-	walErr error
-
-	// Pluggable fact/durability engine (see backend.go). When non-nil,
-	// facts live in the backend instead of s.facts, and object mutations
-	// are logged through it instead of the WAL.
+	// Pluggable fact/durability engine (see backend.go); nil for a
+	// volatile store. When non-nil, facts live in the backend instead of
+	// s.facts, and object mutations are logged through it.
 	backend Backend
+	// backendErr latches the first failed backend write; once set, every
+	// subsequent mutation is refused before touching state (fail-fast;
+	// see writable), and Close/Checkpoint surface the error too.
+	backendErr error
 }
 
 type attrKey struct {
@@ -111,15 +108,15 @@ func NewWith(opts ...Option) *Store {
 }
 
 // Put inserts or replaces the object (a private copy is stored). The oid
-// must be non-empty. On a durable store a poisoned or failing write-ahead
-// log makes Put fail without applying the mutation.
+// must be non-empty. On a durable store a poisoned or failing backend
+// makes Put fail without applying the mutation.
 func (s *Store) Put(o *object.Object) error {
 	if o == nil || o.OID() == "" {
 		return fmt.Errorf("store: object must have a non-empty oid")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.walHealthy(); err != nil {
+	if err := s.writable(); err != nil {
 		return err
 	}
 	old := s.objects[o.OID()]
@@ -129,7 +126,7 @@ func (s *Store) Put(o *object.Object) error {
 	c := o.Clone()
 	s.objects[c.OID()] = c
 	s.index(c)
-	if err := s.log(walRecord{Op: walPut, Object: c}); err != nil {
+	if err := s.logPut(c); err != nil {
 		s.unindex(c)
 		if old != nil {
 			s.objects[o.OID()] = old
@@ -175,7 +172,7 @@ func (s *Store) Has(oid object.OID) bool {
 func (s *Store) Update(oid object.OID, fn func(*object.Object) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.walHealthy(); err != nil {
+	if err := s.writable(); err != nil {
 		return err
 	}
 	old, ok := s.objects[oid]
@@ -193,7 +190,7 @@ func (s *Store) Update(oid object.OID, fn func(*object.Object) error) error {
 	s.unindex(old)
 	s.objects[oid] = c
 	s.index(c)
-	if err := s.log(walRecord{Op: walPut, Object: c}); err != nil {
+	if err := s.logPut(c); err != nil {
 		s.unindex(c)
 		s.objects[oid] = old
 		s.index(old)
@@ -206,8 +203,8 @@ func (s *Store) Update(oid object.OID, fn func(*object.Object) error) error {
 // Delete removes the object and its index entries; facts mentioning the
 // oid are not touched (the model allows dangling references, which simply
 // never join). It reports whether the object existed and was removed; on
-// a durable store with a poisoned write-ahead log the deletion is refused
-// (see DeleteErr for the error).
+// a durable store with a poisoned backend the deletion is refused (see
+// DeleteErr for the error).
 func (s *Store) Delete(oid object.OID) bool {
 	ok, _ := s.DeleteErr(oid)
 	return ok
@@ -215,12 +212,12 @@ func (s *Store) Delete(oid object.OID) bool {
 
 // DeleteErr is Delete with the failure surfaced: on a durable store it
 // returns a non-nil error — and leaves the object in place — if the
-// write-ahead log is poisoned or the append fails, so an unacknowledged
+// backend is poisoned or its log call fails, so an unacknowledged
 // deletion is never applied.
 func (s *Store) DeleteErr(oid object.OID) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.walHealthy(); err != nil {
+	if err := s.writable(); err != nil {
 		return false, err
 	}
 	o, ok := s.objects[oid]
@@ -229,7 +226,7 @@ func (s *Store) DeleteErr(oid object.OID) (bool, error) {
 	}
 	s.unindex(o)
 	delete(s.objects, oid)
-	if err := s.log(walRecord{Op: walDelete, OID: string(oid)}); err != nil {
+	if err := s.logDelete(oid); err != nil {
 		s.objects[oid] = o
 		s.index(o)
 		return false, err

@@ -9,7 +9,7 @@ import (
 	"videodb/internal/object"
 )
 
-func newTestStore(t *testing.T, opts ...Option) *Store {
+func newTestStore(t testing.TB, opts ...Option) *Store {
 	t.Helper()
 	s := NewWith(opts...)
 	objs := []*object.Object{
@@ -247,6 +247,16 @@ func TestStats(t *testing.T) {
 	}
 	if st.IndexTerms == 0 {
 		t.Error("expected index terms")
+	}
+}
+
+func TestCheckpointRequiresDurable(t *testing.T) {
+	s := New()
+	if err := s.Checkpoint(); err == nil {
+		t.Error("Checkpoint on in-memory store should fail")
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("Close on in-memory store should be a no-op: %v", err)
 	}
 }
 
