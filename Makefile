@@ -54,15 +54,15 @@ test-stream:
 	$(GO) test -run 'TestSubscri|TestSSE|TestWebhook|TestServerClose|TestStatusWriter' ./internal/core/ ./internal/server/ ./internal/store/
 	$(GO) test -run 'TestStreamingSubscriptionE2E' ./internal/integration/
 
-# race exercises the parallel evaluator, the shared EDB/memo caches, the
-# store write path (backend write-failure injection, range-index readers,
+# race exercises the parallel evaluator, the shared EDB caches, the
+# constraint solver's shared step budget, the store write path (backend write-failure injection, range-index readers,
 # changelog), the segment backend (crash injection, mem/segment
 # equivalence), the materialized-view oracle, the goal-specialization oracle
 # (internal/core/specialize_oracle_test.go: Parallel(4) engines,
 # concurrent readers on the plan cache), and the server's observability
 # counters under the race detector.
 race:
-	$(GO) test -race ./internal/datalog/... ./internal/store/... ./internal/core/... ./internal/server/...
+	$(GO) test -race ./internal/constraint/... ./internal/datalog/... ./internal/store/... ./internal/core/... ./internal/server/...
 
 # fuzz-smoke runs every native fuzz target (the VideoQL parser, the
 # interval notation parser, the static analyzer, the snapshot decoder)

@@ -29,21 +29,12 @@ const budgetCheckInterval = 256
 
 // A Budget bounds solver work and propagates cancellation. It is safe for
 // concurrent use: parallel evaluation workers may share one budget.
-//
-// A budget also serves as the per-caller accounting token for the solver
-// memo: every memo lookup made under a budget bumps that budget's own
-// hit/miss counters in addition to the process-wide ones, so concurrent
-// engines each see exactly their own memo traffic (MemoCounts) instead of
-// a snapshot diff of shared counters.
 type Budget struct {
 	remaining  atomic.Int64 // meaningful only when limited
 	limited    bool
 	sinceCheck atomic.Int64
 	check      func() error // optional; non-nil error aborts the solve
-
 	spent      atomic.Int64 // steps consumed (profiling)
-	memoHits   atomic.Uint64
-	memoMisses atomic.Uint64
 }
 
 // NewBudget returns a budget of maxSteps elementary solver steps.
@@ -90,130 +81,4 @@ func (b *Budget) Spent() int64 {
 		return 0
 	}
 	return b.spent.Load()
-}
-
-// MemoCounts reports the solver-memo hits and misses observed through this
-// budget: exactly the lookups made by solver calls that carried it, so the
-// pair is attributable to one caller even when the memo itself is shared
-// process-wide. MemoCounts on a nil budget is 0, 0.
-func (b *Budget) MemoCounts() (hits, misses uint64) {
-	if b == nil {
-		return 0, 0
-	}
-	return b.memoHits.Load(), b.memoMisses.Load()
-}
-
-// noteMemo records one memo lookup outcome against the budget; nil-safe so
-// unbudgeted solver entry points can pass nil through the memo tables.
-func (b *Budget) noteMemo(hit bool) {
-	if b == nil {
-		return
-	}
-	if hit {
-		b.memoHits.Add(1)
-	} else {
-		b.memoMisses.Add(1)
-	}
-}
-
-// --- Budgeted entry points (dense order) -------------------------------------
-
-// SatisfiableWithin is Satisfiable under a step budget: it reports the
-// same verdict, or an error when the budget is exhausted or the budget's
-// cancellation check fires mid-solve.
-func (f Formula) SatisfiableWithin(b *Budget) (bool, error) {
-	for _, c := range f {
-		ok, err := conjSatisfiableB(c, b)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// EntailsWithin is Entails under a step budget. The exponential negation
-// search spends one step per branch, so a hostile multi-variable formula
-// cannot run unboundedly.
-func (f Formula) EntailsWithin(g Formula, b *Budget) (bool, error) {
-	if b == nil || !memoEnabled.Load() {
-		return f.entailsBudgeted(g, b)
-	}
-	dst := formulaKeyTo(make([]byte, 0, 96), f)
-	dst = append(dst, '\x02')
-	key := string(formulaKeyTo(dst, g))
-	if v, ok := entailMemo.get(key, b); ok {
-		return v, nil
-	}
-	v, err := f.entailsBudgeted(g, b)
-	if err != nil {
-		return false, err // incomplete solve: never cache
-	}
-	entailMemo.put(key, v)
-	return v, nil
-}
-
-func (f Formula) entailsBudgeted(g Formula, b *Budget) (bool, error) {
-	if fg, ok := f.singleVar(); ok {
-		if gg, ok2 := g.singleVarCompatible(fg); ok2 {
-			fi, err1 := f.ToInterval(fg)
-			gi, err2 := g.ToInterval(gg)
-			if err1 == nil && err2 == nil {
-				if err := b.Spend(int64(len(fi.Spans()) + len(gi.Spans()) + 1)); err != nil {
-					return false, err
-				}
-				return gi.ContainsGen(fi), nil
-			}
-		}
-	}
-	for _, cf := range f {
-		sat, err := conjSatisfiableB(cf, b)
-		if err != nil {
-			return false, err
-		}
-		if !sat {
-			continue // this disjunct contributes no valuations
-		}
-		unsatNeg, err := negationSatisfiableB(cf, g, 0, b)
-		if err != nil {
-			return false, err
-		}
-		if unsatNeg {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// --- Budgeted entry points (set order) ---------------------------------------
-
-// SatisfiableWithin is SetConj.Satisfiable under a step budget.
-func (c SetConj) SatisfiableWithin(b *Budget) (bool, error) {
-	cl, err := closeConjB(c, b)
-	if err != nil {
-		return false, err
-	}
-	return cl.sat, nil
-}
-
-// EntailsWithin is SetConj.Entails under a step budget.
-func (c SetConj) EntailsWithin(g SetConj, b *Budget) (bool, error) {
-	cl, err := closeConjB(c, b)
-	if err != nil {
-		return false, err
-	}
-	if !cl.sat {
-		return true, nil // false entails everything
-	}
-	for _, a := range g {
-		if err := b.Spend(1); err != nil {
-			return false, err
-		}
-		if !cl.entailsAtom(a) {
-			return false, nil
-		}
-	}
-	return true, nil
 }

@@ -2,8 +2,8 @@ package constraint
 
 import (
 	"errors"
-	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -55,9 +55,6 @@ func TestBudgetCancellationCheck(t *testing.T) {
 }
 
 func TestFormulaEntailsWithinBudget(t *testing.T) {
-	prev := SetMemoEnabled(false)
-	defer SetMemoEnabled(prev)
-
 	// A multi-variable entailment that exercises the negation search.
 	f := FromAtom(NewAtom(V("x"), Lt, V("y"))).And(FromAtom(NewAtom(V("y"), Lt, V("z"))))
 	g := FromAtom(NewAtom(V("x"), Lt, V("z")))
@@ -75,9 +72,6 @@ func TestFormulaEntailsWithinBudget(t *testing.T) {
 }
 
 func TestFormulaSatisfiableWithinBudget(t *testing.T) {
-	prev := SetMemoEnabled(false)
-	defer SetMemoEnabled(prev)
-
 	f := FromAtom(VarCmp("x", Gt, 0)).And(FromAtom(VarCmp("x", Lt, 10)))
 	ok, err := f.SatisfiableWithin(NewBudget(0, nil))
 	if err != nil || !ok {
@@ -89,9 +83,6 @@ func TestFormulaSatisfiableWithinBudget(t *testing.T) {
 }
 
 func TestSetConjWithinBudget(t *testing.T) {
-	prev := SetMemoEnabled(false)
-	defer SetMemoEnabled(prev)
-
 	c := SetConj{Member("a", "X"), Subset(SetVar("X"), SetVar("Y"))}
 	g := SetConj{Member("a", "Y")}
 	ok, err := c.EntailsWithin(g, NewBudget(0, nil))
@@ -106,70 +97,37 @@ func TestSetConjWithinBudget(t *testing.T) {
 	}
 }
 
-// TestMemoCountsPerBudget: concurrent callers sharing the process-wide
-// memo each see exactly their own lookups through their budget, so the
-// per-budget counts add up to the global counter delta (none is counted
-// twice, none is lost).
-func TestMemoCountsPerBudget(t *testing.T) {
-	prev := SetMemoEnabled(true)
-	defer SetMemoEnabled(prev)
-	ResetMemo()
-	before := MemoSnapshot()
-
-	const callers, calls = 4, 200
-	budgets := make([]*Budget, callers)
-	var wg sync.WaitGroup
-	for i := range budgets {
-		budgets[i] = NewBudget(0, nil)
-		wg.Add(1)
-		go func(b *Budget, seed int64) {
-			defer wg.Done()
-			// A small formula pool, so callers both miss and hit, on their
-			// own entries and on each other's.
-			r := rand.New(rand.NewSource(seed))
-			for j := 0; j < calls; j++ {
-				f := Between("t", float64(r.Intn(6)), float64(6+r.Intn(6)))
-				g := Between("t", float64(r.Intn(6)), float64(6+r.Intn(6)))
-				if _, err := f.EntailsWithin(g, b); err != nil {
-					t.Error(err)
-					return
+// TestBudgetSharedAcrossGoroutines: parallel evaluation workers share one
+// budget, so concurrent Spend calls must neither lose nor double-count a
+// step. Under a limit of L steps exactly L single-step spends succeed;
+// unlimited, Spent equals the total spent.
+func TestBudgetSharedAcrossGoroutines(t *testing.T) {
+	const workers, calls, limit = 4, 500, 777
+	run := func(b *Budget) int64 {
+		var ok atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < calls; j++ {
+					if b.Spend(1) == nil {
+						ok.Add(1)
+					}
 				}
-			}
-		}(budgets[i], int64(i))
-	}
-	wg.Wait()
-	after := MemoSnapshot()
-
-	var sum uint64
-	for i, b := range budgets {
-		hits, misses := b.MemoCounts()
-		if hits+misses != calls {
-			t.Errorf("caller %d: %d hits + %d misses, want %d lookups", i, hits, misses, calls)
+			}()
 		}
-		sum += hits + misses
+		wg.Wait()
+		return ok.Load()
 	}
-	if global := (after.Hits - before.Hits) + (after.Misses - before.Misses); sum != global {
-		t.Errorf("per-budget lookups sum to %d, global delta is %d", sum, global)
+	if got := run(NewBudget(limit, nil)); got != limit {
+		t.Errorf("limited budget: %d spends succeeded, want %d", got, limit)
 	}
-	if after.Hits == before.Hits {
-		t.Error("no memo hits: the workload should repeat formulas")
+	b := NewBudget(0, nil)
+	if got := run(b); got != workers*calls {
+		t.Errorf("unlimited budget: %d spends succeeded, want %d", got, workers*calls)
 	}
-}
-
-// TestMemoHitIsFree: with the memo on, a cached verdict must not charge
-// the budget — a warm server answers repeated constraint checks without
-// burning per-request step budgets.
-func TestMemoHitIsFree(t *testing.T) {
-	prev := SetMemoEnabled(true)
-	defer SetMemoEnabled(prev)
-	ResetMemo()
-
-	c := Conj{VarCmp("q", Gt, 1), VarCmp("q", Lt, 5)}
-	if _, err := conjSatisfiableB(c, nil); err != nil { // warm the memo
-		t.Fatal(err)
-	}
-	b := NewBudget(1, nil)
-	if _, err := conjSatisfiableB(c, b); err != nil {
-		t.Fatalf("memo hit charged the budget: %v", err)
+	if got := b.Spent(); got != workers*calls {
+		t.Errorf("unlimited budget: Spent() = %d, want %d", got, workers*calls)
 	}
 }

@@ -328,12 +328,24 @@ func (f Formula) String() string {
 // satisfies the formula. Each disjunct is checked with the point-algebra
 // closure solver; a formula is satisfiable iff some disjunct is.
 func (f Formula) Satisfiable() bool {
+	v, _ := f.SatisfiableWithin(nil)
+	return v
+}
+
+// SatisfiableWithin is Satisfiable under a step budget: it reports the
+// same verdict, or an error when the budget is exhausted or the budget's
+// cancellation check fires mid-solve.
+func (f Formula) SatisfiableWithin(b *Budget) (bool, error) {
 	for _, c := range f {
-		if conjSatisfiable(c) {
-			return true
+		ok, err := conjSatisfiable(c, b)
+		if err != nil {
+			return false, err
+		}
+		if ok {
+			return true, nil
 		}
 	}
-	return false
+	return false, nil
 }
 
 // Entails reports whether f ⇒ g: every valuation satisfying f satisfies g.
@@ -342,39 +354,44 @@ func (f Formula) Satisfiable() bool {
 // tries the exact single-variable interval route and falls back to the
 // general procedure only for multi-variable formulas.
 func (f Formula) Entails(g Formula) bool {
-	if !memoEnabled.Load() {
-		return f.entailsUncached(g)
-	}
-	dst := formulaKeyTo(make([]byte, 0, 96), f)
-	dst = append(dst, '\x02')
-	key := string(formulaKeyTo(dst, g))
-	if v, ok := entailMemo.get(key, nil); ok {
-		return v
-	}
-	v := f.entailsUncached(g)
-	entailMemo.put(key, v)
+	v, _ := f.EntailsWithin(g, nil)
 	return v
 }
 
-func (f Formula) entailsUncached(g Formula) bool {
+// EntailsWithin is Entails under a step budget. The exponential negation
+// search spends one step per branch, so a hostile multi-variable formula
+// cannot run unboundedly.
+func (f Formula) EntailsWithin(g Formula, b *Budget) (bool, error) {
 	if fg, ok := f.singleVar(); ok {
 		if gg, ok2 := g.singleVarCompatible(fg); ok2 {
 			fi, err1 := f.ToInterval(fg)
 			gi, err2 := g.ToInterval(gg)
 			if err1 == nil && err2 == nil {
-				return gi.ContainsGen(fi)
+				if err := b.Spend(int64(len(fi.Spans()) + len(gi.Spans()) + 1)); err != nil {
+					return false, err
+				}
+				return gi.ContainsGen(fi), nil
 			}
 		}
 	}
 	for _, cf := range f {
-		if !conjSatisfiable(cf) {
+		sat, err := conjSatisfiable(cf, b)
+		if err != nil {
+			return false, err
+		}
+		if !sat {
 			continue // this disjunct contributes no valuations
 		}
-		if !conjEntails(cf, g) {
-			return false
+		// cf ∧ ¬g satisfiable ⇒ entailment fails.
+		negSat, err := negationSatisfiable(cf, g, 0, b)
+		if err != nil {
+			return false, err
+		}
+		if negSat {
+			return false, nil
 		}
 	}
-	return true
+	return true, nil
 }
 
 // Equivalent reports mutual entailment.
@@ -524,7 +541,7 @@ func (f Formula) Simplify() Formula {
 	}
 	var out Formula
 	for _, c := range f {
-		if conjSatisfiable(c) {
+		if ok, _ := conjSatisfiable(c, nil); ok {
 			out = append(out, c)
 		}
 	}

@@ -1,6 +1,7 @@
 package constraint
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -126,13 +127,13 @@ func TestPropEntailmentAgreesWithIntervals(t *testing.T) {
 			return false
 		}
 		// Force the generic path by bypassing the single-var shortcut:
-		// check each satisfiable disjunct with conjEntails directly.
+		// run the negation search on each satisfiable disjunct directly.
 		generic := true
 		for _, cf := range a.F {
-			if !conjSatisfiable(cf) {
+			if sat, _ := conjSatisfiable(cf, nil); !sat {
 				continue
 			}
-			if !conjEntails(cf, b.F) {
+			if negSat, _ := negationSatisfiable(cf, b.F, 0, nil); negSat {
 				generic = false
 				break
 			}
@@ -168,7 +169,7 @@ func TestPropSetClosureSoundness(t *testing.T) {
 				cjs = append(cjs, Subset(SetVar(vars[r.Intn(2)]), SetVar(vars[r.Intn(2)])))
 			}
 		}
-		cl := closeConj(cjs)
+		cl, _ := closeConj(cjs, nil)
 		if !cl.sat {
 			// Verify genuine unsatisfiability by enumeration over the universe.
 			subsets := [][]string{{}, {"a"}, {"b"}, {"c"}, {"a", "b"}, {"a", "c"}, {"b", "c"}, {"a", "b", "c"}}
@@ -196,5 +197,154 @@ func TestPropSetClosureSoundness(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// randFormula draws a random multi-variable DNF: up to two disjuncts of up
+// to three atoms over variables x0..x2 and integer constants 0..3.
+func randFormula(r *rand.Rand) Formula {
+	f := make(Formula, r.Intn(3))
+	for i := range f {
+		f[i] = randConj(r)
+	}
+	return f
+}
+
+func randConj(r *rand.Rand) Conj {
+	ops := []Op{Lt, Le, Eq, Ne, Ge, Gt}
+	term := func() Term {
+		if r.Intn(2) == 0 {
+			return V(fmt.Sprintf("x%d", r.Intn(3)))
+		}
+		return C(float64(r.Intn(4)))
+	}
+	c := make(Conj, r.Intn(4))
+	for i := range c {
+		c[i] = Atom{Left: term(), Op: ops[r.Intn(len(ops))], Right: term()}
+	}
+	return c
+}
+
+// randSetConj draws a random set-order conjunction of up to three
+// inclusions over variables X, Y, Z and literals drawn from {a, b, c}.
+func randSetConj(r *rand.Rand) SetConj {
+	elems := []string{"a", "b", "c"}
+	vars := []string{"X", "Y", "Z"}
+	term := func() SetTerm {
+		if r.Intn(2) == 0 {
+			return SetVar(vars[r.Intn(len(vars))])
+		}
+		lit := make([]string, r.Intn(3))
+		for i := range lit {
+			lit[i] = elems[r.Intn(len(elems))]
+		}
+		return SetLit(lit...)
+	}
+	c := make(SetConj, r.Intn(4))
+	for i := range c {
+		c[i] = Subset(term(), term())
+	}
+	return c
+}
+
+// denseGrid holds -1, -0.75, …, 4. Formulas from randFormula have at most
+// three variables and constants in 0..3, so a valuation's truth depends
+// only on each variable's position relative to the constants and to the
+// other variables. Every constant is on the grid and every gap around
+// them holds at least three grid points, so any such order type is
+// realized on the grid: brute force over it is an exact oracle for
+// Satisfiable and Entails.
+var denseGrid = func() []float64 {
+	var g []float64
+	for p := -1.0; p <= 4; p += 0.25 {
+		g = append(g, p)
+	}
+	return g
+}()
+
+// setGrid holds every subset of {a, b, c, d}. The fourth element d occurs
+// in no literal, so it stands for every element outside {a, b, c}: a
+// counter-model's witness element can always be renamed to d and the
+// rest dropped. Brute force over it is exact for randSetConj inputs.
+var setGrid = func() [][]string {
+	univ := []string{"a", "b", "c", "d"}
+	var g [][]string
+	for m := 0; m < 1<<len(univ); m++ {
+		var s []string
+		for i, e := range univ {
+			if m&(1<<i) != 0 {
+				s = append(s, e)
+			}
+		}
+		g = append(g, s)
+	}
+	return g
+}()
+
+// forEachValuation calls fn with every assignment of points to vars (all
+// bound in one reused map).
+func forEachValuation[T any](vars []string, points []T, fn func(map[string]T)) {
+	val := make(map[string]T, len(vars))
+	var rec func(i int)
+	rec = func(i int) {
+		if i == len(vars) {
+			fn(val)
+			return
+		}
+		for _, p := range points {
+			val[vars[i]] = p
+			rec(i + 1)
+		}
+	}
+	rec(0)
+}
+
+// TestSolverMatchesGridOracle checks the dense-order and set-order
+// solvers, unbudgeted and under an unlimited budget, against brute-force
+// evaluation over every valuation on an exact grid.
+func TestSolverMatchesGridOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 500; i++ {
+		f, g := randFormula(r), randFormula(r)
+		wantSat, wantEnt := false, true
+		forEachValuation(f.Or(g).Vars(), denseGrid, func(val map[string]float64) {
+			fv, err1 := f.Eval(val)
+			gv, err2 := g.Eval(val)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("case %d: Eval: %v, %v", i, err1, err2)
+			}
+			wantSat = wantSat || fv
+			wantEnt = wantEnt && (!fv || gv)
+		})
+		if got := f.Satisfiable(); got != wantSat {
+			t.Fatalf("case %d: Satisfiable(%s) = %v, grid says %v", i, f, got, wantSat)
+		}
+		if got, err := f.SatisfiableWithin(NewBudget(0, nil)); err != nil || got != wantSat {
+			t.Fatalf("case %d: SatisfiableWithin(%s) = %v, %v; grid says %v", i, f, got, err, wantSat)
+		}
+		if got := f.Entails(g); got != wantEnt {
+			t.Fatalf("case %d: (%s) Entails (%s) = %v, grid says %v", i, f, g, got, wantEnt)
+		}
+		if got, err := f.EntailsWithin(g, NewBudget(0, nil)); err != nil || got != wantEnt {
+			t.Fatalf("case %d: (%s) EntailsWithin (%s) = %v, %v; grid says %v", i, f, g, got, err, wantEnt)
+		}
+
+		sc, sg := randSetConj(r), randSetConj(r)
+		wantSat, wantEnt = false, true
+		forEachValuation([]string{"X", "Y", "Z"}, setGrid, func(val map[string][]string) {
+			cv, err1 := sc.Eval(val)
+			gv, err2 := sg.Eval(val)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("case %d: set Eval: %v, %v", i, err1, err2)
+			}
+			wantSat = wantSat || cv
+			wantEnt = wantEnt && (!cv || gv)
+		})
+		if got, err := sc.SatisfiableWithin(NewBudget(0, nil)); err != nil || got != wantSat || sc.Satisfiable() != got {
+			t.Fatalf("case %d: set Satisfiable(%s) = %v, %v; grid says %v", i, sc, got, err, wantSat)
+		}
+		if got, err := sc.EntailsWithin(sg, NewBudget(0, nil)); err != nil || got != wantEnt || sc.Entails(sg) != got {
+			t.Fatalf("case %d: set (%s) Entails (%s) = %v, %v; grid says %v", i, sc, sg, got, err, wantEnt)
+		}
 	}
 }

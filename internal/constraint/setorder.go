@@ -146,35 +146,12 @@ type setClosure struct {
 	sat  bool
 }
 
-// closeConj computes the bound-propagation closure of the conjunction,
-// consulting the solver memo first. Cached closures are immutable after
-// construction: Satisfiable and entailsAtom only read them.
-func closeConj(c SetConj) *setClosure {
-	cl, _ := closeConjB(c, nil)
-	return cl
-}
-
-// closeConjB is closeConj under a step budget: the closure charges one
-// step per atom up front and one per propagation sweep, so the (input-
-// polynomial but potentially large) bound-propagation fixpoint respects
-// a caller's budget and cancellation check.
-func closeConjB(c SetConj, b *Budget) (*setClosure, error) {
-	if !memoEnabled.Load() {
-		return closeConjUncached(c, b)
-	}
-	key := setConjKey(c)
-	if cl, ok := closureMemo.get(key, b); ok {
-		return cl, nil
-	}
-	cl, err := closeConjUncached(c, b)
-	if err != nil {
-		return nil, err // incomplete closure: never cache
-	}
-	closureMemo.put(key, cl)
-	return cl, nil
-}
-
-func closeConjUncached(c SetConj, budget *Budget) (*setClosure, error) {
+// closeConj computes the bound-propagation closure of the conjunction
+// under a step budget: it charges one step per atom up front and one per
+// propagation sweep, so the (input-polynomial but potentially large)
+// bound-propagation fixpoint respects a caller's budget and cancellation
+// check.
+func closeConj(c SetConj, budget *Budget) (*setClosure, error) {
 	if err := budget.Spend(int64(len(c)) + 1); err != nil {
 		return nil, err
 	}
@@ -305,20 +282,44 @@ func intersectUpper(a, b map[string]bool) map[string]bool {
 
 // Satisfiable reports whether some assignment of finite sets satisfies
 // the conjunction.
-func (c SetConj) Satisfiable() bool { return closeConj(c).sat }
+func (c SetConj) Satisfiable() bool {
+	v, _ := c.SatisfiableWithin(nil)
+	return v
+}
+
+// SatisfiableWithin is Satisfiable under a step budget.
+func (c SetConj) SatisfiableWithin(b *Budget) (bool, error) {
+	cl, err := closeConj(c, b)
+	if err != nil {
+		return false, err
+	}
+	return cl.sat, nil
+}
 
 // Entails reports whether every solution of c also satisfies g.
 func (c SetConj) Entails(g SetConj) bool {
-	cl := closeConj(c)
+	v, _ := c.EntailsWithin(g, nil)
+	return v
+}
+
+// EntailsWithin is Entails under a step budget.
+func (c SetConj) EntailsWithin(g SetConj, b *Budget) (bool, error) {
+	cl, err := closeConj(c, b)
+	if err != nil {
+		return false, err
+	}
 	if !cl.sat {
-		return true // false entails everything
+		return true, nil // false entails everything
 	}
 	for _, a := range g {
+		if err := b.Spend(1); err != nil {
+			return false, err
+		}
 		if !cl.entailsAtom(a) {
-			return false
+			return false, nil
 		}
 	}
-	return true
+	return true, nil
 }
 
 func (cl *setClosure) entailsAtom(a SetAtom) bool {
@@ -332,13 +333,17 @@ func (cl *setClosure) entailsAtom(a SetAtom) bool {
 			return true
 		}
 		// X ⊆ Y also holds in all solutions when every allowed element of X
-		// is required in Y.
-		bx, okx := cl.vars[x]
-		by, oky := cl.vars[y]
-		if okx && oky && bx.upper != nil && subsetOf(bx.upper, by.lower) {
-			return true
+		// is required in Y — vacuously so when X is bounded by ∅, even if
+		// Y occurs nowhere in the conjunction.
+		bx, ok := cl.vars[x]
+		if !ok || bx.upper == nil {
+			return false
 		}
-		return false
+		var required map[string]bool
+		if by, ok := cl.vars[y]; ok {
+			required = by.lower
+		}
+		return subsetOf(bx.upper, required)
 	case !a.Left.IsVar() && a.Right.IsVar(): // s ⊆ X: every element required
 		bx, ok := cl.vars[a.Right.Var]
 		if !ok {

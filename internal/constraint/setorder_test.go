@@ -103,6 +103,8 @@ func TestSetEntailment(t *testing.T) {
 		{"subset via bounds", SetConj{
 			Subset(SetVar("X"), SetLit("a")), Subset(SetLit("a"), SetVar("Y"))},
 			SetConj{Subset(SetVar("X"), SetVar("Y"))}, true},
+		{"empty subset of unmentioned", SetConj{Subset(SetVar("X"), SetLit())},
+			SetConj{Subset(SetVar("X"), SetVar("Y"))}, true},
 		{"ground entailed", SetConj{}, SetConj{Subset(SetLit("a"), SetLit("a", "b"))}, true},
 		{"ground not entailed", SetConj{}, SetConj{Subset(SetLit("z"), SetLit("a"))}, false},
 		{"self subset", SetConj{}, SetConj{Subset(SetVar("X"), SetVar("X"))}, true},

@@ -189,53 +189,28 @@ func (g *pointGraph) scc() []int {
 }
 
 // conjSatisfiable reports whether the conjunction has a solution over a
-// dense linear order, consulting the solver memo first. Every caller —
+// dense linear order: build the point graph, collapse strongly connected
+// components, check the three realizability conditions. It spends one
+// budget step per atom plus one for the closure pass. Every caller —
 // Formula.Satisfiable, Entails' negation search, Simplify — funnels
-// through here, so one memo table covers them all.
-func conjSatisfiable(c Conj) bool {
-	v, _ := conjSatisfiableB(c, nil)
-	return v
-}
-
-// conjSatisfiableB is conjSatisfiable under a step budget: one step per
-// atom plus one for the closure pass. A memo hit is free — a cached
-// verdict costs a map lookup, not a solve.
-func conjSatisfiableB(c Conj, b *Budget) (bool, error) {
-	if !memoEnabled.Load() {
-		if err := b.Spend(int64(len(c)) + 1); err != nil {
-			return false, err
-		}
-		return conjSatisfiableUncached(c), nil
-	}
-	key := conjKey(c)
-	if v, ok := satMemo.get(key, b); ok {
-		return v, nil
-	}
+// through here.
+func conjSatisfiable(c Conj, b *Budget) (bool, error) {
 	if err := b.Spend(int64(len(c)) + 1); err != nil {
 		return false, err
 	}
-	v := conjSatisfiableUncached(c)
-	satMemo.put(key, v)
-	return v, nil
-}
-
-// conjSatisfiableUncached is the memo-free solver: build the point graph,
-// collapse strongly connected components, check the three realizability
-// conditions.
-func conjSatisfiableUncached(c Conj) bool {
 	g := newPointGraph()
 	for _, a := range c {
 		// Ground atoms are decided immediately.
 		if !a.Left.IsVar() && !a.Right.IsVar() {
 			if !a.Op.Holds(a.Left.Const, a.Right.Const) {
-				return false
+				return false, nil
 			}
 			continue
 		}
 		// Trivially reflexive atoms.
 		if a.Left.IsVar() && a.Right.IsVar() && a.Left.Var == a.Right.Var {
 			if !a.Op.Holds(0, 0) {
-				return false
+				return false, nil
 			}
 			continue
 		}
@@ -248,45 +223,38 @@ func conjSatisfiableUncached(c Conj) bool {
 	for v, edges := range g.adj {
 		for _, e := range edges {
 			if e.strict && comp[v] == comp[e.to] {
-				return false
+				return false, nil
 			}
 		}
 	}
 	// Condition 2: disequality within a component.
 	for _, p := range g.neq {
 		if comp[p[0]] == comp[p[1]] {
-			return false
+			return false, nil
 		}
 	}
 	// Condition 3: two distinct constants in one component.
 	pinned := make(map[int]float64)
 	for id, v := range g.consts {
 		if prev, ok := pinned[comp[id]]; ok && prev != v {
-			return false
+			return false, nil
 		}
 		pinned[comp[id]] = v
 	}
-	return true
+	return true, nil
 }
 
-// conjEntails reports whether the satisfiable conjunction cf entails the
-// DNF g: cf ⇒ g iff cf ∧ ¬g is unsatisfiable. ¬g is a conjunction of
-// disjunctions of negated atoms; the procedure searches over one negated
-// atom per disjunct, pruning unsatisfiable partial choices.
-func conjEntails(cf Conj, g Formula) bool {
-	// cf ∧ ¬g satisfiable ⇒ entailment fails.
-	sat, _ := negationSatisfiableB(cf, g, 0, nil)
-	return !sat
-}
-
-// negationSatisfiableB is the negation search under a step budget: one
-// step per visited branch of the (potentially exponential) choice tree,
-// so a budgeted caller can stop a hostile entailment check.
-func negationSatisfiableB(acc Conj, g Formula, i int, b *Budget) (bool, error) {
+// negationSatisfiable reports whether acc ∧ ¬(g[i] ∨ … ∨ g[n-1]) is
+// satisfiable. ¬g is a conjunction of disjunctions of negated atoms; the
+// search picks one negated atom per disjunct, pruning unsatisfiable
+// partial choices. It spends one budget step per visited branch of the
+// (potentially exponential) choice tree, so a budgeted caller can stop a
+// hostile entailment check.
+func negationSatisfiable(acc Conj, g Formula, i int, b *Budget) (bool, error) {
 	if err := b.Spend(1); err != nil {
 		return false, err
 	}
-	sat, err := conjSatisfiableB(acc, b)
+	sat, err := conjSatisfiable(acc, b)
 	if err != nil {
 		return false, err
 	}
@@ -303,7 +271,7 @@ func negationSatisfiableB(acc Conj, g Formula, i int, b *Budget) (bool, error) {
 	}
 	for _, a := range disjunct {
 		neg := Atom{Left: a.Left, Op: a.Op.Negate(), Right: a.Right}
-		ok, err := negationSatisfiableB(append(acc[:len(acc):len(acc)], neg), g, i+1, b)
+		ok, err := negationSatisfiable(append(acc[:len(acc):len(acc)], neg), g, i+1, b)
 		if err != nil {
 			return false, err
 		}

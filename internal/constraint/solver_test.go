@@ -40,7 +40,7 @@ func TestMultiVarSatisfiability(t *testing.T) {
 			NewAtom(x, Lt, y), NewAtom(x, Lt, z), NewAtom(y, Lt, V("w")), NewAtom(z, Lt, V("w"))), true},
 	}
 	for _, tc := range cases {
-		if got := conjSatisfiable(tc.c); got != tc.want {
+		if got, _ := conjSatisfiable(tc.c, nil); got != tc.want {
 			t.Errorf("%s: satisfiable(%v) = %v, want %v", tc.name, tc.c, got, tc.want)
 		}
 	}

@@ -156,10 +156,10 @@ type RunStats struct {
 	Created int // generalized interval objects created by ⊕
 	Firings int // successful rule head instantiations (incl. duplicates)
 
-	// Constraint-solver memo lookups made under the run's budget. The
-	// engine decides every constraint filter without the solver (`=>` by
-	// interval containment, Allen relations directly), so both read 0;
-	// the memo serves the static analyser and the constraint package API.
+	// MemoHits and MemoMisses always read 0: the constraint solver keeps
+	// no cache, and the engine decides every constraint filter without it
+	// (`=>` by interval containment, Allen relations directly). They stay
+	// only for readers that predate the solver memo's removal.
 	MemoHits   uint64
 	MemoMisses uint64
 
@@ -368,7 +368,6 @@ func (e *Engine) runGuarded(body func() error) error {
 	start := time.Now()
 	defer e.publishStats() // registered first: runs after the finalizer below
 	defer func() {
-		e.stats.MemoHits, e.stats.MemoMisses = e.budget.MemoCounts()
 		e.stats.SolverSteps = e.budget.Spent()
 		if e.prof != nil {
 			e.buildProfile(time.Since(start))

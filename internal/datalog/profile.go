@@ -6,8 +6,8 @@ import "time"
 // built with WithProfiling records, while the fixpoint runs, where the
 // evaluation spent its time — per rule (wall time, task evaluations,
 // firings, newly derived tuples) and per TP round (wall time, tasks,
-// firings, derived) — plus the solver-budget consumption and the memo
-// traffic of the run. The record is assembled into an immutable Profile
+// firings, derived) — plus the solver-budget consumption of the run.
+// The record is assembled into an immutable Profile
 // when the run ends and published under the engine's stats lock, so
 // concurrent readers never observe a half-built profile.
 //
@@ -33,11 +33,6 @@ type Profile struct {
 	// SolverSteps is the number of elementary constraint-solver steps the
 	// run consumed from its budget (compare MaxSolverSteps).
 	SolverSteps int64 `json:"solverSteps"`
-
-	// MemoHits and MemoMisses are the solver-memo lookups attributed to
-	// this run (the same per-engine counters RunStats reports).
-	MemoHits   uint64 `json:"memoHits"`
-	MemoMisses uint64 `json:"memoMisses"`
 }
 
 // RuleProfile is the profile of one rule across the whole run.
@@ -122,15 +117,13 @@ func (e *Engine) evalTask(t evalTask) error {
 
 // buildProfile assembles and publishes the immutable Profile at the end
 // of a profiled run (called from the run goroutine's final defer, after
-// the stats have their memo counts).
+// the stats have their solver steps).
 func (e *Engine) buildProfile(total time.Duration) {
 	p := &Profile{
 		Rules:       make([]RuleProfile, len(e.prog.Rules)),
 		Rounds:      append([]RoundProfile{}, e.prof.rounds...),
 		Total:       total,
 		SolverSteps: e.budget.Spent(),
-		MemoHits:    e.stats.MemoHits,
-		MemoMisses:  e.stats.MemoMisses,
 	}
 	for i, r := range e.prog.Rules {
 		p.Rules[i] = RuleProfile{

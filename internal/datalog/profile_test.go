@@ -118,9 +118,8 @@ func TestProfileMatchesRunStats(t *testing.T) {
 	if p.SolverSteps <= 0 {
 		t.Error("an Entails workload should consume solver steps")
 	}
-	if p.MemoHits != rs.MemoHits || p.MemoMisses != rs.MemoMisses {
-		t.Errorf("profile memo counters (%d/%d) disagree with RunStats (%d/%d)",
-			p.MemoHits, p.MemoMisses, rs.MemoHits, rs.MemoMisses)
+	if p.SolverSteps != rs.SolverSteps {
+		t.Errorf("profile SolverSteps = %d, RunStats.SolverSteps = %d", p.SolverSteps, rs.SolverSteps)
 	}
 }
 

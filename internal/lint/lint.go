@@ -3,7 +3,7 @@
 // states in prose — lock discipline in the store/engine packages
 // (lockcheck), context propagation on request-serving paths (ctxcheck),
 // the backend error-latch fail-fast contract (errlatch), and the
-// videodb_* metric conventions with their Prometheus/expvar mirror
+// videodb_* metric conventions with Prometheus and /v1/stats parity
 // (metriccheck).
 //
 // The suite is deliberately built on the standard library alone

@@ -32,7 +32,7 @@ func stdExports(t *testing.T) func(string) string {
 	exportsOnce.Do(func() {
 		pkgs, err := goList(".", "list", "-export", "-deps",
 			"-json=ImportPath,Export,Standard",
-			"context", "sync", "sync/atomic", "os", "time", "expvar", "fmt", "io")
+			"context", "sync", "sync/atomic", "os", "time", "fmt", "io")
 		if err != nil {
 			exportsErr = err
 			return

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"regexp"
 	"sort"
 	"strconv"
@@ -13,15 +12,15 @@ import (
 // MetricCheck enforces the server's metric conventions: every metric
 // name matches videodb_[a-z0-9_]+; metrics are declared (helper
 // registration or literal `# TYPE` exposition) in a single function;
-// expvar publication happens in a single mirror site; and the
-// Prometheus exposition and the expvar mirror stay in sync — every
-// atomic counter of the metrics struct that one side reads must be
-// read by the other, and a counter that is incremented but exposed by
-// neither side is dead weight that silently lies to operators.
+// and the Prometheus exposition and the /v1/stats engine totals stay in
+// sync — every atomic counter of the metrics struct that one side reads
+// must be read by the other, and a counter that is incremented but
+// exposed by neither side is dead weight that silently lies to
+// operators.
 var MetricCheck = &Analyzer{
 	Name: "metriccheck",
 	Doc: "flag metric names off the videodb_* convention, registration outside the " +
-		"single site, and Prometheus/expvar mirror divergence",
+		"single site, and Prometheus and /v1/stats divergence",
 	Scope: []string{"internal/server"},
 	Run:   runMetricCheck,
 }
@@ -39,7 +38,6 @@ var metricHelperNames = map[string]bool{"counter": true, "gauge": true, "histogr
 
 func runMetricCheck(pass *Pass) error {
 	var expoFns []*ast.FuncDecl          // functions writing `# TYPE` exposition text
-	var expvarFns []*ast.FuncDecl        // functions calling into package expvar
 	declared := map[string][]token.Pos{} // metric name → declaration positions
 
 	for _, f := range pass.Files {
@@ -48,7 +46,7 @@ func runMetricCheck(pass *Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			isExpo, usesExpvar := false, false
+			isExpo := false
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.BasicLit:
@@ -81,11 +79,6 @@ func runMetricCheck(pass *Pass) error {
 						declared[m[1]] = append(declared[m[1]], n.Pos())
 					}
 				case *ast.CallExpr:
-					if fn, ok := calleeObject(pass.Info, n).(*types.Func); ok {
-						if fn.Pkg() != nil && fn.Pkg().Path() == "expvar" {
-							usesExpvar = true
-						}
-					}
 					// Registration helpers: counter("name", v), gauge("name", v).
 					name := helperName(n)
 					if metricHelperNames[name] && len(n.Args) > 0 {
@@ -105,25 +98,15 @@ func runMetricCheck(pass *Pass) error {
 			if isExpo {
 				expoFns = append(expoFns, fd)
 			}
-			if usesExpvar {
-				expvarFns = append(expvarFns, fd)
-			}
 		}
 	}
 
-	// One exposition site, one expvar mirror site.
+	// One exposition site.
 	if len(expoFns) > 1 {
 		for _, fd := range expoFns[1:] {
 			pass.Reportf(fd.Pos(),
 				"metric exposition in %s: all metrics must be written from the single "+
 					"registration site %s", fd.Name.Name, expoFns[0].Name.Name)
-		}
-	}
-	if len(expvarFns) > 1 {
-		for _, fd := range expvarFns[1:] {
-			pass.Reportf(fd.Pos(),
-				"expvar use in %s: the expvar mirror must be published from the single "+
-					"site %s", fd.Name.Name, expvarFns[0].Name.Name)
 		}
 	}
 
@@ -161,9 +144,10 @@ func helperName(call *ast.CallExpr) string {
 	return ""
 }
 
-// checkMirror verifies the Prometheus exposition and the expvar mirror
-// read the same counters. The metrics-holding structs are those with at
-// least three atomic.Uint64/atomic.Int64 fields.
+// checkMirror verifies the Prometheus exposition and the /v1/stats
+// payload (every other function that loads a counter) read the same
+// counters. The metrics-holding structs are those with at least three
+// atomic.Uint64/atomic.Int64 fields.
 func checkMirror(pass *Pass, expoFns []*ast.FuncDecl) {
 	counters := map[string]bool{} // field names of the metrics struct(s)
 	for _, f := range pass.Files {
@@ -257,16 +241,16 @@ func checkMirror(pass *Pass, expoFns []*ast.FuncDecl) {
 		switch {
 		case inProm && !inMirror:
 			pass.Reportf(pPos,
-				"counter %s is exposed to Prometheus but missing from the expvar "+
-					"mirror: the two views must not diverge", field)
+				"counter %s is exposed to Prometheus but missing from /v1/stats: "+
+					"the two views must not diverge", field)
 		case inMirror && !inProm:
 			pass.Reportf(mPos,
-				"counter %s is in the expvar mirror but never exposed to Prometheus: "+
+				"counter %s is in /v1/stats but never exposed to Prometheus: "+
 					"the two views must not diverge", field)
 		case isAdded && !inProm && !inMirror:
 			pass.Reportf(aPos,
 				"counter %s is incremented but exposed by neither Prometheus nor "+
-					"expvar: dead metric (expose it or delete it)", field)
+					"/v1/stats: dead metric (expose it or delete it)", field)
 		}
 	}
 }

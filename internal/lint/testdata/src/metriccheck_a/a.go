@@ -1,10 +1,9 @@
 // Package metriccheck_a reproduces the metric-convention violations:
-// names off videodb_*, registration outside the single site, rogue
-// expvar use, and Prometheus/expvar mirror divergence.
+// names off videodb_*, registration outside the single site, and
+// divergence between the Prometheus exposition and the stats payload.
 package metriccheck_a
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -29,24 +28,14 @@ func (m *metrics) writeProm(w io.Writer) {
 		fmt.Fprintf(w, "# HELP %s total\n# TYPE %s counter\n%s %d\n", name, name, name, v)
 	}
 	counter("videodb_a_total", m.a.Load())
-	counter("videodb_b_total", m.b.Load()) // want "missing from the expvar mirror"
+	counter("videodb_b_total", m.b.Load()) // want "missing from /v1/stats"
 	counter("videodb_Bad_total", 0)        // want "violates the videodb_"
 	counter("plain_total", 0)              // want "violates the videodb_"
 }
 
-// totals is the expvar mirror payload: it reads a but not b.
+// totals is the /v1/stats payload: it reads a but not b.
 func (m *metrics) totals() map[string]uint64 {
 	return map[string]uint64{"a": m.a.Load()}
-}
-
-// publish is the single mirror site.
-func publish(m *metrics) {
-	expvar.Publish("videodb", expvar.Func(func() interface{} { return m.totals() }))
-}
-
-// rogue registers expvar state outside the mirror site.
-func rogue() { // want "expvar use in rogue"
-	expvar.NewInt("videodb_rogue")
 }
 
 // rogueExpo writes exposition text outside writeProm.

@@ -114,7 +114,8 @@ func (c *Client) Object(oid object.OID) (*object.Object, error) {
 }
 
 // Stats returns the server's statistics: store contents plus cumulative
-// engine totals, memo state, and uptime.
+// engine totals, plan cache, backend, subscription and admission state,
+// and uptime.
 func (c *Client) Stats() (*StatsResponse, error) {
 	var out StatsResponse
 	if err := c.get("/v1/stats", &out); err != nil {

@@ -10,16 +10,16 @@ import (
 )
 
 // Regression tests for the two genuine findings videolint's bring-up
-// surfaced in this package: the Prometheus/expvar mirror had diverged
-// (metriccheck), and the webhook pump waited on context.Background()
+// surfaced in this package: the Prometheus exposition and the /v1/stats
+// engine totals had diverged (metriccheck), and the webhook pump waited on context.Background()
 // so Server.Close could not unblock it (ctxcheck).
 
-// TestExpvarMirrorCoversWireCounters pins the mirror contract: every
+// TestStatsTotalsCoverWireCounters pins the parity contract: every
 // wire-level counter the Prometheus exposition reports must also appear
-// in the expvar/stats payload with the same value. Before the fix,
+// in the /v1/stats engine totals with the same value. Before the fix,
 // requests, the three sub-wire counters, and both webhook counters were
 // missing from totals(), and the wire counters were exposed nowhere.
-func TestExpvarMirrorCoversWireCounters(t *testing.T) {
+func TestStatsTotalsCoverWireCounters(t *testing.T) {
 	var m metrics
 	m.requests.Add(7)
 	m.subSnapshots.Add(3)
@@ -42,7 +42,7 @@ func TestExpvarMirrorCoversWireCounters(t *testing.T) {
 		{"subWebhookDropped", tot.SubWebhookDropped, 1},
 	} {
 		if c.got != c.want {
-			t.Errorf("totals().%s = %d, want %d (expvar mirror diverged from Prometheus)", c.name, c.got, c.want)
+			t.Errorf("totals().%s = %d, want %d (/v1/stats diverged from Prometheus)", c.name, c.got, c.want)
 		}
 	}
 

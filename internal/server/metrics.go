@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"errors"
-	"expvar"
 	"fmt"
 	"log"
 	"net/http"
@@ -13,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"videodb/internal/constraint"
 	"videodb/internal/core"
 	"videodb/internal/datalog"
 	"videodb/internal/datalog/analyze"
@@ -22,8 +20,8 @@ import (
 
 // Observability: cumulative counters for every evaluation the server
 // runs, exposed two ways — GET /metrics in Prometheus text exposition
-// format (0.0.4) and an expvar mirror under the "videodb" variable — plus
-// a request log and a slow-query log. Everything here is atomics: the
+// format (0.0.4) and the "engine" section of GET /v1/stats — plus a
+// request log and a slow-query log. Everything here is atomics: the
 // recording path adds a handful of uncontended Add calls per request, so
 // observability never serializes queries.
 
@@ -81,8 +79,6 @@ type metrics struct {
 	rounds      atomic.Uint64
 	derived     atomic.Uint64
 	solverSteps atomic.Uint64
-	memoHits    atomic.Uint64
-	memoMisses  atomic.Uint64
 
 	latency histogram
 
@@ -204,13 +200,10 @@ func (m *metrics) recordQuery(elapsed time.Duration, st *datalog.RunStats, err e
 		if st.SolverSteps > 0 {
 			m.solverSteps.Add(uint64(st.SolverSteps))
 		}
-		m.memoHits.Add(st.MemoHits)
-		m.memoMisses.Add(st.MemoMisses)
 	}
 }
 
-// engineTotals is the cumulative-evaluation section of /v1/stats and the
-// expvar mirror.
+// engineTotals is the cumulative-evaluation section of /v1/stats.
 type engineTotals struct {
 	Requests         uint64            `json:"httpRequests"`
 	Queries          uint64            `json:"queries"`
@@ -221,8 +214,6 @@ type engineTotals struct {
 	Rounds           uint64            `json:"rounds"`
 	Derived          uint64            `json:"derived"`
 	SolverSteps      uint64            `json:"solverSteps"`
-	MemoHits         uint64            `json:"memoHits"`
-	MemoMisses       uint64            `json:"memoMisses"`
 	ViewsCached      uint64            `json:"viewsCached"`
 	ViewsIncr        uint64            `json:"viewsIncremental"`
 	ViewsRecomp      uint64            `json:"viewsRecomputed"`
@@ -281,8 +272,6 @@ func (m *metrics) totals() engineTotals {
 		Rounds:           m.rounds.Load(),
 		Derived:          m.derived.Load(),
 		SolverSteps:      m.solverSteps.Load(),
-		MemoHits:         m.memoHits.Load(),
-		MemoMisses:       m.memoMisses.Load(),
 		ViewsCached:      m.viewCached.Load(),
 		ViewsIncr:        m.viewIncr.Load(),
 		ViewsRecomp:      m.viewRecomputed.Load(),
@@ -345,8 +334,6 @@ func (m *metrics) writeProm(b *bytes.Buffer, uptime time.Duration) {
 	counter("videodb_engine_rounds_total", "Fixpoint rounds across all evaluations.", m.rounds.Load())
 	counter("videodb_engine_derived_total", "Derived tuples across all evaluations.", m.derived.Load())
 	counter("videodb_engine_solver_steps_total", "Constraint-solver steps across all evaluations.", m.solverSteps.Load())
-	counter("videodb_engine_memo_hits_total", "Solver-memo hits attributed to this server's evaluations.", m.memoHits.Load())
-	counter("videodb_engine_memo_misses_total", "Solver-memo misses attributed to this server's evaluations.", m.memoMisses.Load())
 
 	fmt.Fprintf(b, "# HELP videodb_view_maintenance_total Materialized-view reads by serving mode.\n")
 	fmt.Fprintf(b, "# TYPE videodb_view_maintenance_total counter\n")
@@ -390,11 +377,6 @@ func (m *metrics) writeProm(b *bytes.Buffer, uptime time.Duration) {
 	for _, c := range codes {
 		fmt.Fprintf(b, "videodb_vet_diagnostics_total{code=%q} %d\n", c, vet[c])
 	}
-
-	ms := constraint.MemoSnapshot()
-	gauge("videodb_memo_entries", "Entries currently cached in the process-wide solver memo.", float64(ms.Entries))
-	counter("videodb_memo_flushes_total", "Generation clears of the process-wide solver memo.", ms.Flushes)
-	gauge("videodb_memo_hit_rate", "Process-wide solver-memo hit rate.", ms.HitRate())
 
 	var pcs core.PlanCacheStats
 	if m.planCache != nil {
@@ -446,29 +428,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b.Bytes())
-}
-
-// --- expvar mirror ---------------------------------------------------------------
-
-// The expvar package forbids re-publishing a name, but tests (and
-// embedders) create many Servers per process; a process-wide pointer to
-// the newest server's metrics keeps Publish a one-time act.
-var (
-	expvarOnce sync.Once
-	expvarCur  atomic.Pointer[metrics]
-)
-
-func publishExpvar(m *metrics) {
-	expvarCur.Store(m)
-	expvarOnce.Do(func() {
-		expvar.Publish("videodb", expvar.Func(func() any {
-			cur := expvarCur.Load()
-			if cur == nil {
-				return nil
-			}
-			return cur.totals()
-		}))
-	})
 }
 
 // --- Request logging and slow queries ---------------------------------------------

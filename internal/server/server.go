@@ -37,7 +37,6 @@ import (
 	"sync"
 	"time"
 
-	"videodb/internal/constraint"
 	"videodb/internal/core"
 	"videodb/internal/datalog"
 	"videodb/internal/datalog/analyze"
@@ -132,7 +131,6 @@ func New(db *core.DB, opts ...Option) *Server {
 	if s.pprofOn {
 		s.registerPprof()
 	}
-	publishExpvar(s.metrics)
 	return s
 }
 
@@ -244,12 +242,21 @@ type ResultJSON struct {
 }
 
 type statsJSON struct {
-	Rounds         int    `json:"rounds"`
-	Derived        int    `json:"derived"`
-	CreatedObjects int    `json:"createdObjects"`
-	SolverSteps    int64  `json:"solverSteps,omitempty"`
-	MemoHits       uint64 `json:"memoHits,omitempty"`
-	MemoMisses     uint64 `json:"memoMisses,omitempty"`
+	Rounds         int   `json:"rounds"`
+	Derived        int   `json:"derived"`
+	CreatedObjects int   `json:"createdObjects"`
+	SolverSteps    int64 `json:"solverSteps,omitempty"`
+}
+
+// newStatsJSON is the wire form of a run's counters, shared by query,
+// script and view responses.
+func newStatsJSON(st datalog.RunStats) statsJSON {
+	return statsJSON{
+		Rounds:         st.Rounds,
+		Derived:        st.Derived,
+		CreatedObjects: st.Created,
+		SolverSteps:    st.SolverSteps,
+	}
 }
 
 func resultJSON(rs *core.ResultSet) ResultJSON {
@@ -257,14 +264,7 @@ func resultJSON(rs *core.ResultSet) ResultJSON {
 		Columns: rs.Columns,
 		Rows:    rs.Rows,
 		Created: rs.Created,
-		Stats: statsJSON{
-			Rounds:         rs.Stats.Rounds,
-			Derived:        rs.Stats.Derived,
-			CreatedObjects: rs.Stats.Created,
-			SolverSteps:    rs.Stats.SolverSteps,
-			MemoHits:       rs.Stats.MemoHits,
-			MemoMisses:     rs.Stats.MemoMisses,
-		},
+		Stats:   newStatsJSON(rs.Stats),
 		Profile: rs.Profile,
 	}
 	if out.Columns == nil {
@@ -419,8 +419,6 @@ func (s *Server) handleScript(w http.ResponseWriter, r *http.Request) {
 		sum.Rounds += rs.Stats.Rounds
 		sum.Derived += rs.Stats.Derived
 		sum.SolverSteps += rs.Stats.SolverSteps
-		sum.MemoHits += rs.Stats.MemoHits
-		sum.MemoMisses += rs.Stats.MemoMisses
 	}
 	s.metrics.recordQuery(elapsed, &sum, nil, false)
 	s.logSlow("script", req.Script, elapsed, &sum, nil)
@@ -498,12 +496,10 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 
 // StatsResponse merges the store's content statistics (embedded, so its
 // fields stay at the top level for existing clients) with the server's
-// cumulative engine totals, the process-wide solver-memo state, and
-// uptime.
+// cumulative engine totals and uptime.
 type StatsResponse struct {
 	store.Stats
 	Engine        engineTotals        `json:"engine"`
-	Memo          memoJSON            `json:"memo"`
 	PlanCache     core.PlanCacheStats `json:"planCache"`
 	Intern        internJSON          `json:"intern"`
 	Backend       store.BackendStats  `json:"backend"`
@@ -514,14 +510,6 @@ type StatsResponse struct {
 
 type internJSON struct {
 	Values int `json:"values"` // distinct values in the process-wide interner
-}
-
-type memoJSON struct {
-	Hits    uint64  `json:"hits"`
-	Misses  uint64  `json:"misses"`
-	HitRate float64 `json:"hitRate"`
-	Entries int     `json:"entries"`
-	Flushes uint64  `json:"flushes"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -535,17 +523,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	bs := s.db.Store().BackendStats()
 	subs := s.db.SubscriptionStats()
 	s.mu.RUnlock()
-	ms := constraint.MemoSnapshot()
 	writeJSON(w, http.StatusOK, StatsResponse{
-		Stats:  st,
-		Engine: s.metrics.totals(),
-		Memo: memoJSON{
-			Hits:    ms.Hits,
-			Misses:  ms.Misses,
-			HitRate: ms.HitRate(),
-			Entries: ms.Entries,
-			Flushes: ms.Flushes,
-		},
+		Stats:         st,
+		Engine:        s.metrics.totals(),
 		PlanCache:     pcs,
 		Intern:        internJSON{Values: datalog.InternStats().Values},
 		Backend:       bs,

@@ -45,13 +45,7 @@ func viewJSON(vr *core.ViewResult) ViewJSON {
 		Mode:           string(vr.Mode),
 		AppliedInserts: vr.AppliedInserts,
 		AppliedDeletes: vr.AppliedDeletes,
-		Stats: statsJSON{
-			Rounds:      vr.Stats.Rounds,
-			Derived:     vr.Stats.Derived,
-			SolverSteps: vr.Stats.SolverSteps,
-			MemoHits:    vr.Stats.MemoHits,
-			MemoMisses:  vr.Stats.MemoMisses,
-		},
+		Stats:          newStatsJSON(vr.Stats),
 	}
 	if out.Columns == nil {
 		out.Columns = []string{}

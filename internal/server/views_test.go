@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -164,5 +165,46 @@ func TestViewEndpointValidation(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/v1/views", map[string]string{"name": "v", "goal": "?- reach(X"})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("bad goal status = %d, want 422", resp.StatusCode)
+	}
+}
+
+// TestViewStatsMatchQueryStats: a view reports the same run counters as
+// the one-shot query over the same goal, createdObjects included, both
+// when it is created and when it is read back.
+func TestViewStatsMatchQueryStats(t *testing.T) {
+	script, err := os.ReadFile("../../examples/scripts/editing.vql")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := core.New()
+	if _, err := db.LoadScript(string(script)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(db))
+	t.Cleanup(ts.Close)
+
+	stats := func(what string, resp *http.Response, out map[string]json.RawMessage) statsJSON {
+		t.Helper()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", what, resp.StatusCode, out["error"])
+		}
+		var st statsJSON
+		if err := json.Unmarshal(out["stats"], &st); err != nil {
+			t.Fatalf("%s: stats: %v", what, err)
+		}
+		return st
+	}
+	resp, out := postJSON(t, ts.URL+"/v1/query", map[string]string{"query": "?- stitched(G)."})
+	query := stats("query", resp, out)
+	if query.CreatedObjects != 1 {
+		t.Fatalf("query createdObjects = %d, want 1", query.CreatedObjects)
+	}
+	resp, out = postJSON(t, ts.URL+"/v1/views", map[string]string{"name": "stitched", "goal": "?- stitched(G)"})
+	if got := stats("view create", resp, out); got != query {
+		t.Errorf("view create stats = %+v, query stats = %+v", got, query)
+	}
+	resp, out = getJSON(t, ts.URL+"/v1/views/stitched")
+	if got := stats("view read", resp, out); got != query {
+		t.Errorf("view read stats = %+v, query stats = %+v", got, query)
 	}
 }
