@@ -65,13 +65,15 @@ race:
 	$(GO) test -race ./internal/constraint/... ./internal/datalog/... ./internal/store/... ./internal/core/... ./internal/server/...
 
 # fuzz-smoke runs every native fuzz target (the VideoQL parser, the
-# interval notation parser, the static analyzer, the snapshot decoder)
-# for 5s each; go test -fuzz takes one target per invocation.
+# interval notation parser, the static analyzer, the snapshot decoder,
+# the value JSON encoder) for 5s each; go test -fuzz takes one target
+# per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/interval
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime 5s ./internal/datalog/analyze
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 5s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzValueJSON$$' -fuzztime 5s ./internal/object
 
 # bench reproduces the paper experiments E1–E15 (the root bench_test.go;
 # EXPERIMENTS.md records a reference run).

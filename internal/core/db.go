@@ -386,8 +386,11 @@ func (db *DB) runQuery(ctx context.Context, q parser.Query, extra ...datalog.Opt
 		Profile: eng.Profile(),
 		engine:  eng,
 	}
-	for _, r := range res {
-		rs.Rows = append(rs.Rows, r.Values)
+	if len(res) > 0 {
+		rs.Rows = make([][]object.Value, len(res))
+		for i, r := range res {
+			rs.Rows[i] = r.Values
+		}
 	}
 	return rs, nil
 }

@@ -631,7 +631,7 @@ func (s *Subscription) flush() bool {
 
 	s.ext = eng.Extensions()
 	rows, direct := s.ext[s.goal.Atom.Pred]
-	if !direct || !distinctVarAtom(s.goal.Atom) {
+	if !direct || !s.goal.Atom.DistinctVars() {
 		res, err := eng.Query(s.goal.Atom)
 		if err != nil {
 			return s.fail(err)

@@ -390,7 +390,7 @@ func (db *DB) refreshView(ctx context.Context, v *viewState) (*ViewResult, error
 
 	v.ext = eng.Extensions()
 	rows, direct := v.ext[v.goal.Atom.Pred]
-	if !direct || !distinctVarAtom(v.goal.Atom) {
+	if !direct || !v.goal.Atom.DistinctVars() {
 		// The goal filters (constants, repeated variables) or targets an
 		// extensional predicate: extract through the engine's query path.
 		res, err := eng.Query(v.goal.Atom)
@@ -495,20 +495,6 @@ func relevantPreds(prog datalog.Program, goal string) map[string]bool {
 		}
 	}
 	return out
-}
-
-// distinctVarAtom reports whether every argument of the atom is a
-// variable and no variable repeats — the case where querying the atom
-// returns the predicate's extension unchanged.
-func distinctVarAtom(atom datalog.RelAtom) bool {
-	seen := map[string]bool{}
-	for _, t := range atom.Args {
-		if !t.IsVar() || seen[t.Name()] {
-			return false
-		}
-		seen[t.Name()] = true
-	}
-	return true
 }
 
 func isIDBPred(prog datalog.Program, pred string) bool {

@@ -183,6 +183,20 @@ func (a RelAtom) collectVars(dst map[string]bool) {
 	}
 }
 
+// DistinctVars reports whether every argument of the atom is a variable
+// and no variable repeats — the case where querying the atom returns the
+// predicate's extension unchanged.
+func (a RelAtom) DistinctVars() bool {
+	seen := make(map[string]bool, len(a.Args))
+	for _, t := range a.Args {
+		if !t.IsVar() || seen[t.Name()] {
+			return false
+		}
+		seen[t.Name()] = true
+	}
+	return true
+}
+
 // String renders the atom.
 func (a RelAtom) String() string {
 	parts := make([]string, len(a.Args))

@@ -2,7 +2,6 @@ package datalog
 
 import (
 	"fmt"
-	"sort"
 
 	"videodb/internal/object"
 )
@@ -42,16 +41,16 @@ func (e *Engine) Rows(pred string) ([][]object.Value, error) {
 	if err := e.Run(); err != nil {
 		return nil, err
 	}
-	var rows []row
-	if rel, ok := e.derived[pred]; ok {
-		rows = rel.sortedRows() // EDB facts were seeded into the relation
-	} else {
-		rows = append([]row(nil), e.edbRowsShared(pred)...)
-		sort.Slice(rows, func(i, j int) bool { return rowKey(rows[i]) < rowKey(rows[j]) })
+	rows := sortRows(e.relRows(pred))
+	n := 0
+	for _, t := range rows {
+		n += len(t)
 	}
+	slab := make([]object.Value, 0, n)
 	out := make([][]object.Value, len(rows))
-	for i, r := range rows {
-		out[i] = append([]object.Value(nil), r...)
+	for i, t := range rows {
+		slab = append(slab, t...)
+		out[i] = slab[len(slab)-len(t) : len(slab) : len(slab)]
 	}
 	return out, nil
 }
@@ -61,6 +60,11 @@ func (e *Engine) Rows(pred string) ([][]object.Value, error) {
 // the pattern enforce equality. Results are distinct tuples of the
 // pattern's variable bindings in first-occurrence order, canonically
 // sorted.
+//
+// When the pattern's arguments are pairwise-distinct variables the
+// relation's sorted tuples already are that answer: the relation holds
+// each tuple once and the projection is the identity. Every other
+// pattern unifies, deduplicates and sorts.
 func (e *Engine) Query(q RelAtom) ([]Result, error) {
 	e.noteGoal(q.Pred)
 	if err := e.Run(); err != nil {
@@ -71,6 +75,9 @@ func (e *Engine) Query(q RelAtom) ([]Result, error) {
 			return nil, fmt.Errorf("datalog: constructive terms are not allowed in queries")
 		}
 	}
+	if q.DistinctVars() {
+		return e.answerAll(q.Pred, len(q.Args)), nil
+	}
 	var varOrder []string
 	seenVar := map[string]bool{}
 	for _, t := range q.Args {
@@ -80,34 +87,67 @@ func (e *Engine) Query(q RelAtom) ([]Result, error) {
 		}
 	}
 
-	rows, err := e.Rows(q.Pred)
-	if err != nil {
-		return nil, err
-	}
-	var out []Result
+	var out []row
 	seen := map[string]bool{}
 	b := make(bindings)
-	for _, tuple := range rows {
+	for _, tuple := range e.relRows(q.Pred) {
 		if len(tuple) != len(q.Args) {
 			continue
 		}
 		undo, ok := unifyArgs(q.Args, tuple, b)
 		if ok {
-			vals := make([]object.Value, len(varOrder))
+			vals := make(row, len(varOrder))
 			for i, v := range varOrder {
 				vals[i] = b[v]
 			}
 			if k := rowKey(vals); !seen[k] {
 				seen[k] = true
-				out = append(out, Result{Values: vals})
+				out = append(out, vals)
 			}
 		}
 		for _, v := range undo {
 			delete(b, v)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return rowKey(out[i].Values) < rowKey(out[j].Values) })
-	return out, nil
+	if len(out) == 0 {
+		return nil, nil
+	}
+	out = sortRows(out)
+	res := make([]Result, len(out))
+	for i, t := range out {
+		res[i] = Result{Values: t}
+	}
+	return res, nil
+}
+
+// relRows returns the predicate's tuples (extensional facts plus derived
+// tuples) in the relation's own order. The tuples are the relation's:
+// callers copy before handing them out.
+func (e *Engine) relRows(pred string) []row {
+	if rel, ok := e.derived[pred]; ok {
+		return rel.rows // EDB facts were seeded into the relation
+	}
+	return e.edbRowsShared(pred)
+}
+
+// answerAll is Query for a pattern of arity pairwise-distinct variables:
+// the predicate's sorted tuples of that arity, copied into one backing
+// slab.
+func (e *Engine) answerAll(pred string, arity int) []Result {
+	rows := sortRows(e.relRows(pred))
+	if len(rows) == 0 {
+		return nil
+	}
+	out := make([]Result, 0, len(rows))
+	slab := make([]object.Value, 0, len(rows)*arity)
+	for _, t := range rows {
+		if len(t) != arity {
+			continue
+		}
+		slab = append(slab, t...)
+		out = append(out, Result{Values: slab[len(slab)-arity : len(slab) : len(slab)]})
+	}
+	return out
 }
 
 // QueryOIDs runs Query and extracts single-column object references,

@@ -1,7 +1,7 @@
 package datalog
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -374,22 +374,40 @@ func (r *relation) advance() bool {
 	return len(r.delta) > 0
 }
 
-// sortedRows returns the rows in canonical (key) order. Keys are
+// sortRows returns a copy of rows in canonical (key) order. Keys are
 // computed once per row, not per comparison — on large extents the
-// comparator would otherwise rebuild each key O(log n) times.
-func (r *relation) sortedRows() []row {
+// comparator would otherwise rebuild each key O(log n) times. Rows whose
+// keys render alike (Ref("1") and Num(1)) are ordered by Value.Compare,
+// so the order never depends on the input's.
+func sortRows(rows []row) []row {
 	type keyed struct {
 		key string
 		t   row
 	}
-	ks := make([]keyed, len(r.rows))
-	for i, t := range r.rows {
+	ks := make([]keyed, len(rows))
+	for i, t := range rows {
 		ks[i] = keyed{rowKey(t), t}
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if c := strings.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return compareRows(a.t, b.t)
+	})
 	out := make([]row, len(ks))
 	for i, k := range ks {
 		out[i] = k.t
 	}
 	return out
+}
+
+// compareRows orders tuples value by value under Value.Compare, shorter
+// first on a common prefix.
+func compareRows(a, b row) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if c := a[i].Compare(b[i]); c != 0 {
+			return c
+		}
+	}
+	return len(a) - len(b)
 }

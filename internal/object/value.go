@@ -12,9 +12,11 @@ package object
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"videodb/internal/interval"
 )
@@ -307,28 +309,6 @@ type jsonValue struct {
 	IsSet bool `json:"isSet,omitempty"`
 }
 
-func (v Value) toJSON() jsonValue {
-	switch v.kind {
-	case KindString:
-		return jsonValue{S: &v.str}
-	case KindNumber:
-		return jsonValue{N: &v.num}
-	case KindRef:
-		return jsonValue{Ref: &v.str}
-	case KindTemporal:
-		s := v.temp.String()
-		return jsonValue{T: &s}
-	case KindSet:
-		set := make([]jsonValue, len(v.set))
-		for i, e := range v.set {
-			set[i] = e.toJSON()
-		}
-		return jsonValue{Set: set, IsSet: true}
-	default:
-		return jsonValue{}
-	}
-}
-
 func (j jsonValue) toValue() (Value, error) {
 	switch {
 	case j.S != nil:
@@ -358,8 +338,142 @@ func (j jsonValue) toValue() (Value, error) {
 	}
 }
 
-// MarshalJSON implements json.Marshaler with a tagged encoding.
-func (v Value) MarshalJSON() ([]byte, error) { return json.Marshal(v.toJSON()) }
+// MarshalJSON implements json.Marshaler with a tagged encoding (see
+// AppendJSON). A non-finite number has no JSON form and is an error.
+func (v Value) MarshalJSON() ([]byte, error) {
+	if !v.Finite() {
+		return nil, fmt.Errorf("object: non-finite number in %s has no JSON form", v)
+	}
+	return v.AppendJSON(nil), nil
+}
+
+// Finite reports whether every number in the value (set elements
+// included) is finite, i.e. whether the value has a JSON form.
+func (v Value) Finite() bool {
+	switch v.kind {
+	case KindNumber:
+		return !math.IsInf(v.num, 0) && !math.IsNaN(v.num)
+	case KindSet:
+		for _, e := range v.set {
+			if !e.Finite() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// AppendJSON appends the value's tagged JSON encoding to b and returns
+// the extended buffer: {"s":…}, {"n":…}, {"ref":…}, {"t":…},
+// {"set":[…],"isSet":true} ({"isSet":true} when empty), or {} for null.
+// The bytes are those encoding/json produces for the same encoding under
+// its default HTML escaping, so rows appended here splice into a body
+// the standard encoder writes around them. A non-finite number has no
+// JSON form and is written as {}, the null value; callers that must
+// reject it check Finite first.
+func (v Value) AppendJSON(b []byte) []byte {
+	switch v.kind {
+	case KindString:
+		return append(appendJSONString(append(b, `{"s":`...), v.str), '}')
+	case KindNumber:
+		if !v.Finite() {
+			return append(b, "{}"...)
+		}
+		return append(appendJSONFloat(append(b, `{"n":`...), v.num), '}')
+	case KindRef:
+		return append(appendJSONString(append(b, `{"ref":`...), v.str), '}')
+	case KindTemporal:
+		return append(appendJSONString(append(b, `{"t":`...), v.temp.String()), '}')
+	case KindSet:
+		if len(v.set) == 0 {
+			return append(b, `{"isSet":true}`...)
+		}
+		b = append(b, `{"set":[`...)
+		for i, e := range v.set {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = e.AppendJSON(b)
+		}
+		return append(b, `],"isSet":true}`...)
+	default:
+		return append(b, "{}"...)
+	}
+}
+
+// appendJSONFloat is encoding/json's float64 format: ES6 number-to-string,
+// 'e' notation below 1e-6 and from 1e21 up, with a one-digit negative
+// exponent unpadded.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString is encoding/json's string encoder with HTML escaping:
+// <, > and & become \u003c, \u003e and \u0026, U+2028 and U+2029 are
+// escaped, and each invalid UTF-8 byte becomes \ufffd.
+func appendJSONString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+			i += size
+			start = i
+			continue
+		}
+		if r == '\u2028' || r == '\u2029' {
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+			i += size
+			start = i
+			continue
+		}
+		i += size
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}
 
 // UnmarshalJSON implements json.Unmarshaler.
 func (v *Value) UnmarshalJSON(data []byte) error {

@@ -60,6 +60,8 @@ const (
 	tokQuery     // ?-
 	tokOp        // < <= = != >= >
 	tokImplies   // =>
+	tokEmpty     // ∅, the empty temporal value
+	tokNegInf    // -inf, an unbounded span start
 )
 
 var tokenNames = map[tokenKind]string{
@@ -68,7 +70,8 @@ var tokenNames = map[tokenKind]string{
 	tokLBrace: "'{'", tokRBrace: "'}'", tokLBracket: "'['", tokRBracket: "']'",
 	tokComma: "','", tokColon: "':'", tokDot: "'.'", tokAttrDot: "attribute '.'",
 	tokPlus: "'+'", tokTurnstile: "':-'", tokQuery: "'?-'",
-	tokOp: "comparison operator", tokImplies: "'=>'",
+	tokOp: "comparison operator", tokImplies: "'=>'", tokEmpty: "'∅'",
+	tokNegInf: "'-inf'",
 }
 
 type token struct {
@@ -166,6 +169,11 @@ func (l *lexer) run() error {
 				l.advance()
 			}
 			l.emit(tokIdent, l.src[start:l.pos], line, col)
+		case r == '-' && strings.HasPrefix(l.src[l.pos:], "-inf") && !isIdentPart(l.peekAt(4)):
+			for range "-inf" {
+				l.advance()
+			}
+			l.emit(tokNegInf, "", line, col)
 		case unicode.IsDigit(r) || (r == '-' && unicode.IsDigit(l.peekAt(1))):
 			if err := l.lexNumber(line, col); err != nil {
 				return err
@@ -201,6 +209,9 @@ func (l *lexer) run() error {
 		case r == '∪':
 			l.advance()
 			l.emit(tokPlus, "", line, col) // union separator in interval literals
+		case r == '∅':
+			l.advance()
+			l.emit(tokEmpty, "", line, col)
 		case r == ':':
 			l.advance()
 			if l.peek() == '-' {

@@ -2,6 +2,7 @@ package parser
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"videodb/internal/constraint"
@@ -329,6 +330,9 @@ func (p *parser) value() (object.Value, error) {
 			return object.Null(), err
 		}
 		return object.Set(elems...), nil
+	case tokEmpty:
+		p.next() // how an unsatisfiable temporal constraint prints
+		return object.Temporal(interval.Empty()), nil
 	case tokLBracket:
 		g, err := p.temporalLiteral()
 		if err != nil {
@@ -338,7 +342,7 @@ func (p *parser) value() (object.Value, error) {
 	case tokLParen:
 		// "(lo, hi)" is an open time span; "(t > 5 and …)" — or
 		// "(5 < t …)" — is a constraint. The comma disambiguates.
-		if p.peek().kind == tokNumber && p.peek2().kind == tokComma {
+		if (p.peek().kind == tokNumber || p.peek().kind == tokNegInf) && p.peek2().kind == tokComma {
 			g, err := p.temporalLiteral()
 			if err != nil {
 				return object.Null(), err
@@ -411,6 +415,16 @@ func (p *parser) span() (interval.Span, error) {
 }
 
 func (p *parser) numberValue() (float64, error) {
+	// Unbounded span ends, as intervals print them: "(-inf,+inf)".
+	switch {
+	case p.cur().kind == tokNegInf:
+		p.next()
+		return math.Inf(-1), nil
+	case p.cur().kind == tokPlus && p.peek().kind == tokIdent && p.peek().text == "inf":
+		p.next()
+		p.next()
+		return math.Inf(1), nil
+	}
 	t, err := p.expect(tokNumber)
 	if err != nil {
 		return 0, err

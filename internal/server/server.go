@@ -231,10 +231,20 @@ type ruleRequest struct {
 	Rule string `json:"rule"`
 }
 
-// ResultJSON is the wire form of one query result.
+// ResultJSON is the wire form of one query result. The members before
+// and after "rows" are grouped so the row writer can encode them apart
+// from the rows (see rows.go); on the wire the fields are flat.
 type ResultJSON struct {
-	Columns     []string             `json:"columns"`
-	Rows        [][]object.Value     `json:"rows"`
+	resultHead
+	Rows [][]object.Value `json:"rows"`
+	resultTail
+}
+
+type resultHead struct {
+	Columns []string `json:"columns"`
+}
+
+type resultTail struct {
 	Created     []*object.Object     `json:"created,omitempty"`
 	Stats       statsJSON            `json:"stats"`
 	Profile     *datalog.Profile     `json:"profile,omitempty"`     // present when requested
@@ -261,11 +271,13 @@ func newStatsJSON(st datalog.RunStats) statsJSON {
 
 func resultJSON(rs *core.ResultSet) ResultJSON {
 	out := ResultJSON{
-		Columns: rs.Columns,
-		Rows:    rs.Rows,
-		Created: rs.Created,
-		Stats:   newStatsJSON(rs.Stats),
-		Profile: rs.Profile,
+		resultHead: resultHead{Columns: rs.Columns},
+		Rows:       rs.Rows,
+		resultTail: resultTail{
+			Created: rs.Created,
+			Stats:   newStatsJSON(rs.Stats),
+			Profile: rs.Profile,
+		},
 	}
 	if out.Columns == nil {
 		out.Columns = []string{} // ground queries have no variables
@@ -328,7 +340,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.logSlow("query", req.Query, elapsed, &rs.Stats, nil)
 	out := resultJSON(rs)
 	out.Diagnostics = diags
-	writeJSON(w, http.StatusOK, out)
+	writeResult(w, out)
 }
 
 // handleVet statically analyzes a script against the database — same
@@ -413,16 +425,21 @@ func (s *Server) handleScript(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var sum datalog.RunStats
-	out := make([]ResultJSON, len(results))
+	var body rowBody
+	body.raw(`{"results":[`)
 	for i, rs := range results {
-		out[i] = resultJSON(rs)
+		if i > 0 {
+			body.raw(",")
+		}
+		body.result(resultJSON(rs))
 		sum.Rounds += rs.Stats.Rounds
 		sum.Derived += rs.Stats.Derived
 		sum.SolverSteps += rs.Stats.SolverSteps
 	}
+	body.raw("]}")
 	s.metrics.recordQuery(elapsed, &sum, nil, false)
 	s.logSlow("script", req.Script, elapsed, &sum, nil)
-	writeJSON(w, http.StatusOK, map[string]interface{}{"results": out})
+	body.write(w, http.StatusOK)
 }
 
 func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
@@ -560,10 +577,17 @@ func methodNotAllowed(w http.ResponseWriter, allow string) {
 	writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method not allowed"))
 }
 
+// writeJSON answers with v's encoding, or with a 500 when v cannot be
+// encoded: the body is encoded before the status line is sent.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v) // headers are sent; nothing left to do on error
+	_, _ = w.Write(append(body, '\n')) // the status is sent; a failed write means the client is gone
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

@@ -26,26 +26,36 @@ type viewRequest struct {
 	Goal string `json:"goal"`
 }
 
-// ViewJSON is the wire form of one view read.
+// ViewJSON is the wire form of one view read. As in ResultJSON, the
+// members around "rows" are grouped for the row writer.
 type ViewJSON struct {
-	Name           string           `json:"name"`
-	Columns        []string         `json:"columns"`
-	Rows           [][]object.Value `json:"rows"`
-	Mode           string           `json:"mode"`
-	AppliedInserts int              `json:"appliedInserts"`
-	AppliedDeletes int              `json:"appliedDeletes"`
-	Stats          statsJSON        `json:"stats"`
+	viewHead
+	Rows [][]object.Value `json:"rows"`
+	viewTail
+}
+
+type viewHead struct {
+	Name    string   `json:"name"`
+	Columns []string `json:"columns"`
+}
+
+type viewTail struct {
+	Mode           string    `json:"mode"`
+	AppliedInserts int       `json:"appliedInserts"`
+	AppliedDeletes int       `json:"appliedDeletes"`
+	Stats          statsJSON `json:"stats"`
 }
 
 func viewJSON(vr *core.ViewResult) ViewJSON {
 	out := ViewJSON{
-		Name:           vr.Name,
-		Columns:        vr.Columns,
-		Rows:           vr.Rows,
-		Mode:           string(vr.Mode),
-		AppliedInserts: vr.AppliedInserts,
-		AppliedDeletes: vr.AppliedDeletes,
-		Stats:          newStatsJSON(vr.Stats),
+		viewHead: viewHead{Name: vr.Name, Columns: vr.Columns},
+		Rows:     vr.Rows,
+		viewTail: viewTail{
+			Mode:           string(vr.Mode),
+			AppliedInserts: vr.AppliedInserts,
+			AppliedDeletes: vr.AppliedDeletes,
+			Stats:          newStatsJSON(vr.Stats),
+		},
 	}
 	if out.Columns == nil {
 		out.Columns = []string{}
@@ -97,7 +107,7 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) {
 		}
 		s.metrics.recordView(vr.Mode)
 		s.logSlow("view", req.Name+" = "+req.Goal, time.Since(began), &vr.Stats, nil)
-		writeJSON(w, http.StatusOK, viewJSON(vr))
+		writeView(w, viewJSON(vr))
 	default:
 		methodNotAllowed(w, "GET, POST")
 	}
@@ -135,7 +145,7 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 		}
 		s.metrics.recordView(vr.Mode)
 		s.logSlow("view", name, elapsed, &vr.Stats, nil)
-		writeJSON(w, http.StatusOK, viewJSON(vr))
+		writeView(w, viewJSON(vr))
 	case http.MethodDelete:
 		s.mu.Lock()
 		ok := s.db.DropView(name)

@@ -222,12 +222,12 @@ func TestDurableStoreMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestWALFailureNoAcknowledgedWriteLost drives one random mutation
+// TestWriteFailureNoAcknowledgedWriteLost drives one random mutation
 // stream into a durable store once per failing write position, and checks
 // the central durability promise: exactly the acknowledged mutations
 // survive, in the live store (the failed one was rolled back) and after
 // recovery; and once a write has failed, no later one is acknowledged.
-func TestWALFailureNoAcknowledgedWriteLost(t *testing.T) {
+func TestWriteFailureNoAcknowledgedWriteLost(t *testing.T) {
 	failed := map[string]bool{}
 	for failAt := 0; failAt < 60; failAt++ {
 		failed[failingStream(t, failAt)] = true
@@ -298,10 +298,10 @@ func failingStream(t *testing.T, failAt int) string {
 	return failedKind
 }
 
-// TestWALFailureDeleteRestoresIndexes pins the rollback detail: a Delete
+// TestWriteFailureDeleteRestoresIndexes pins the rollback detail: a Delete
 // whose backend write fails must leave the object queryable through the
 // secondary indexes, not just present in the map.
-func TestWALFailureDeleteRestoresIndexes(t *testing.T) {
+func TestWriteFailureDeleteRestoresIndexes(t *testing.T) {
 	s := openDurable(t, &flakyBackend{Store: openBackend(t, t.TempDir()), failAt: 2})
 	if err := s.Put(object.NewEntity("e1").Set("score", object.Num(7))); err != nil {
 		t.Fatal(err)
