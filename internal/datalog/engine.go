@@ -83,6 +83,12 @@ type Engine struct {
 	needEmpties    bool
 	emptyIntervals []object.OID
 
+	// Whether the program can read the store's interval or entity oid
+	// list (computed once in finishInit); a run snapshots a list into
+	// baseIntervals/baseEntities only then.
+	readsIntervals bool
+	readsEntities  bool
+
 	// Query-goal predicates registered before Run so warmEDBCaches covers
 	// them: no worker or concurrent reader ever lazily writes edbCache.
 	goalMu    *sync.Mutex
@@ -285,7 +291,8 @@ func newEngineShell(st *store.Store, prog Program) *Engine {
 
 // finishInit applies the options and builds the option-dependent state:
 // the pair interner and the derived relations (keyed according to the
-// execution mode), the profiler, and the eager-extension flags.
+// execution mode), the profiler, the eager-extension flags, and which
+// oid lists a run must snapshot.
 func (e *Engine) finishInit(opts []Option) {
 	for _, o := range opts {
 		o(e)
@@ -306,13 +313,24 @@ func (e *Engine) finishInit(opts []Option) {
 	}
 	// Entailment guards admit empty durations vacuously; the window
 	// pushdown needs the empty-duration interval list to stay a superset.
+	// Class atoms enumerate the interval or entity list.
 	for _, r := range e.prog.Rules {
 		for _, l := range r.Body {
-			if _, ok := l.(EntailAtom); ok {
+			switch a := l.(type) {
+			case EntailAtom:
 				e.needEmpties = true
+			case ClassAtom:
+				if a.Kind == object.Entity {
+					e.readsEntities = true
+				} else {
+					e.readsIntervals = true
+				}
 			}
 		}
 	}
+	// A ⊕ head or eager extension grows the interval list (intervalsGrow),
+	// and the empty-duration list is filtered from it.
+	e.readsIntervals = e.readsIntervals || e.intervalsGrow || e.needEmpties
 }
 
 // Stats returns the statistics of the last Run. It is safe to call
@@ -483,8 +501,12 @@ func (e *Engine) runRound(tasks []evalTask, stratum int, guard bool) (bool, erro
 }
 
 func (e *Engine) snapshotEDB() {
-	e.baseIntervals = e.st.Intervals()
-	e.baseEntities = e.st.Entities()
+	if e.readsIntervals {
+		e.baseIntervals = e.st.Intervals()
+	}
+	if e.readsEntities {
+		e.baseEntities = e.st.Entities()
+	}
 	e.allIntervals = append([]object.OID(nil), e.baseIntervals...)
 	if e.streaming && e.needEmpties {
 		for _, oid := range e.baseIntervals {

@@ -312,8 +312,13 @@ func (r *relation) propose(t row) bool {
 	return true
 }
 
-// proposalChunk sizes the arena backing arrays of proposeIDs.
-const proposalChunk = 2048
+// The arena backing arrays of proposeIDs start at proposalFirstChunk
+// values and double up to proposalChunk, so a relation that derives a
+// handful of tuples does not pay for thousands.
+const (
+	proposalFirstChunk = 64
+	proposalChunk      = 2048
+)
 
 // proposeIDs records a freshly derived tuple whose value ids are already
 // computed (the streaming head path reads them from frame caches). The
@@ -325,10 +330,7 @@ func (r *relation) proposeIDs(s row, sids []uint64) {
 	r.keys.addIDs(sids)
 	n := len(s)
 	if cap(r.valChunk)-len(r.valChunk) < n {
-		c := proposalChunk
-		if n > c {
-			c = n
-		}
+		c := max(min(2*cap(r.valChunk), proposalChunk), proposalFirstChunk, n)
 		r.valChunk = make([]object.Value, 0, c)
 		r.idChunk = make([]uint64, 0, c)
 	}

@@ -431,3 +431,32 @@ func TestDurableEmptyDirIsEmptyStore(t *testing.T) {
 		t.Errorf("fresh durable store has %d objects", n)
 	}
 }
+
+// TestScanFactsNegativePositionBothBackends: a bind at a negative
+// position matches no fact on either backend — in a segment block or in
+// the memtable — where it used to panic indexing the fact's arguments.
+func TestScanFactsNegativePositionBothBackends(t *testing.T) {
+	seg := openDurable(t, openBackend(t, t.TempDir()))
+	for name, s := range map[string]*store.Store{"mem": store.New(), "segment": seg} {
+		s.AddFact(store.RefFact("in", "o1", "o4", "gi1"))
+		if s == seg {
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.AddFact(store.RefFact("in", "o1", "o4", "gi2"))
+		for _, v := range []object.Value{object.Ref("o1"), object.Num(1)} {
+			n := 0
+			s.ScanFacts("in", []store.ArgBind{{Pos: -1, Val: v}}, func(store.Fact) bool { n++; return true })
+			s.ScanFacts("in", []store.ArgBind{{Pos: 0, Val: object.Ref("o1")}, {Pos: -1, Val: v}}, func(store.Fact) bool { n++; return true })
+			if n != 0 {
+				t.Errorf("%s: bind at -1 to %v matched %d facts", name, v, n)
+			}
+		}
+		n := 0
+		s.ScanFacts("in", []store.ArgBind{{Pos: 0, Val: object.Ref("o1")}}, func(store.Fact) bool { n++; return true })
+		if n != 2 {
+			t.Errorf("%s: bind at 0 matched %d facts, want 2", name, n)
+		}
+	}
+}

@@ -67,10 +67,34 @@ func (f Fact) Equal(g Fact) bool {
 // (zero Fact) rather than shifting the list; the list compacts once
 // tombstones outnumber live facts. The position map doubles as the
 // membership set (it holds live facts only).
+//
+// post indexes the list by argument: post[i] maps a ref or string value
+// to the ascending slots whose argument i holds it, so a bound scan walks
+// only the facts that can match (see scan). Postings of tombstoned slots
+// stay until compaction rebuilds them; readers skip those slots.
 type factRel struct {
 	list []Fact         // insertion order; tombstoned slots have Name == ""
 	pos  map[string]int // fact key -> index into list, live facts only
 	dead int            // tombstoned slots in list
+	post []argPostings
+}
+
+// argPostings indexes one argument position, refs and strings apart:
+// Value.Equal never equates a ref with a string of the same text.
+type argPostings struct{ refs, strs map[string][]int32 }
+
+// postingsFor returns the posting map for v's kind and v's text; ok is
+// false for a kind that is not indexed. Value.Equal makes NaN equal to
+// every number and −0 equal to +0, and compares temporal and set values
+// structurally, so binds of those kinds keep the linear filter.
+func (p argPostings) postingsFor(v object.Value) (m map[string][]int32, text string, ok bool) {
+	if oid, isRef := v.AsRef(); isRef {
+		return p.refs, string(oid), true
+	}
+	if s, isStr := v.AsString(); isStr {
+		return p.strs, s, true
+	}
+	return nil, "", false
 }
 
 func newFactRel() *factRel { return &factRel{pos: make(map[string]int)} }
@@ -88,7 +112,21 @@ func (r *factRel) get(key string) (Fact, bool) {
 
 func (r *factRel) add(key string, f Fact) {
 	r.pos[key] = len(r.list)
+	r.index(len(r.list), f)
 	r.list = append(r.list, f)
+}
+
+// index appends the slot to the posting list of each ref or string
+// argument of f.
+func (r *factRel) index(slot int, f Fact) {
+	for i, a := range f.Args {
+		for len(r.post) <= i {
+			r.post = append(r.post, argPostings{refs: make(map[string][]int32), strs: make(map[string][]int32)})
+		}
+		if m, text, ok := r.post[i].postingsFor(a); ok {
+			m[text] = append(m[text], int32(slot))
+		}
+	}
 }
 
 // tombstone removes the fact by key, returning the stored fact.
@@ -102,15 +140,18 @@ func (r *factRel) tombstone(key string) Fact {
 }
 
 // maybeCompact rewrites the list without tombstones once they dominate,
-// preserving insertion order; the amortized cost per delete is O(1).
+// preserving insertion order, and rebuilds the posting lists over the new
+// slots; the amortized cost per delete is O(1).
 func (r *factRel) maybeCompact() {
 	if r.dead <= len(r.list)/2 || r.dead < 16 {
 		return
 	}
 	fresh := make([]Fact, 0, len(r.pos))
+	r.post = nil
 	for _, f := range r.list {
 		if f.Name != "" {
 			r.pos[f.Key()] = len(fresh)
+			r.index(len(fresh), f)
 			fresh = append(fresh, f)
 		}
 	}
@@ -129,6 +170,46 @@ func (r *factRel) each(fn func(Fact) bool) {
 			return
 		}
 	}
+}
+
+// scan calls fn for every live fact matching binds, in insertion order,
+// until fn returns false. With a ref or string bind it walks the shortest
+// such bind's posting list; otherwise it filters the whole list. Either
+// way every bind is checked with Value.Equal.
+func (r *factRel) scan(binds []ArgBind, fn func(Fact) bool) {
+	slots, indexed := r.postings(binds)
+	if !indexed {
+		r.each(func(f Fact) bool { return !f.Matches(binds) || fn(f) })
+		return
+	}
+	for _, i := range slots {
+		if f := r.list[i]; f.Name != "" && f.Matches(binds) && !fn(f) {
+			return
+		}
+	}
+}
+
+// postings returns the shortest posting list among the ref and string
+// binds; indexed is false when no bind has such a value. A negative
+// position has no posting list and matches nothing.
+func (r *factRel) postings(binds []ArgBind) (slots []int32, indexed bool) {
+	for _, b := range binds {
+		var p argPostings // a position no fact reaches lists nothing
+		if b.Pos >= 0 && b.Pos < len(r.post) {
+			p = r.post[b.Pos]
+		}
+		m, text, ok := p.postingsFor(b.Val)
+		if !ok {
+			continue
+		}
+		if l := m[text]; !indexed || len(l) < len(slots) {
+			slots, indexed = l, true
+		}
+		if len(slots) == 0 {
+			break
+		}
+	}
+	return slots, indexed
 }
 
 // AddFact inserts the fact if not already present; it reports whether the

@@ -17,7 +17,9 @@ type ArgBind struct {
 
 // ScanFacts calls fn for every fact of the relation whose arguments
 // match all binds, in insertion order, until fn returns false. A bind
-// position beyond a fact's arity never matches that fact.
+// position that is negative or beyond a fact's arity never matches that
+// fact. On the in-memory store a ref or string bind is answered from the
+// relation's per-argument posting lists.
 func (s *Store) ScanFacts(name string, binds []ArgBind, fn func(Fact) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -25,18 +27,21 @@ func (s *Store) ScanFacts(name string, binds []ArgBind, fn func(Fact) bool) {
 		s.backend.ScanFacts(name, binds, fn)
 		return
 	}
-	rel := s.facts[name]
-	if rel == nil {
-		return
+	if rel := s.facts[name]; rel != nil {
+		rel.scan(binds, fn)
 	}
-	rel.each(func(f Fact) bool {
-		for _, b := range binds {
-			if b.Pos >= len(f.Args) || !f.Args[b.Pos].Equal(b.Val) {
-				return true // skip, keep scanning
-			}
+}
+
+// Matches reports whether the fact's arguments match all binds: each
+// bind's position lies within the fact's arity and holds a value
+// Value.Equal to the bind's.
+func (f Fact) Matches(binds []ArgBind) bool {
+	for _, b := range binds {
+		if b.Pos < 0 || b.Pos >= len(f.Args) || !f.Args[b.Pos].Equal(b.Val) {
+			return false
 		}
-		return fn(f)
-	})
+	}
+	return true
 }
 
 // FactCount returns the number of live facts in the relation — the

@@ -632,7 +632,7 @@ func (s *Store) ScanFacts(name string, binds []store.ArgBind, fn func(store.Fact
 						continue
 					}
 				}
-				if !matchBinds(f, binds) {
+				if !f.Matches(binds) {
 					continue
 				}
 				if !fn(f) {
@@ -647,7 +647,7 @@ func (s *Store) ScanFacts(name string, binds []store.ArgBind, fn func(store.Fact
 			if !ok {
 				continue // cancelled in place
 			}
-			if !matchBinds(f, binds) {
+			if !f.Matches(binds) {
 				continue
 			}
 			if !fn(f) {
@@ -655,15 +655,6 @@ func (s *Store) ScanFacts(name string, binds []store.ArgBind, fn func(store.Fact
 			}
 		}
 	}
-}
-
-func matchBinds(f store.Fact, binds []store.ArgBind) bool {
-	for _, b := range binds {
-		if b.Pos >= len(f.Args) || !f.Args[b.Pos].Equal(b.Val) {
-			return false
-		}
-	}
-	return true
 }
 
 // FactCount returns the live fact count of the relation (O(1), from the
