@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -21,10 +22,13 @@ import (
 // situation-monitoring counterpart of materialized views (views pull at
 // read time; subscriptions push on change). Each subscription owns a
 // pump goroutine that drains queued store events, brings the answer set
-// up to date (incrementally via datalog.RunIncremental when the slice is
-// in the maintainable fragment, full recompute otherwise — the exact
-// mode logic of views.go), diffs the old and new visible answer sets,
-// and emits +tuple/-tuple deltas into a bounded per-subscriber queue.
+// up to date and emits +tuple/-tuple deltas into a bounded
+// per-subscriber queue. The subscription keeps the engine of its last
+// full run; its goal relation is the answer set. A fact batch on a
+// slice in the maintainable fragment is applied to that engine in place
+// (datalog.Engine.Apply) and the goal's net change is emitted; anything
+// else re-evaluates into a new engine (the mode logic of views.go) and
+// emits the difference of the two answers.
 //
 // Delivery contract:
 //
@@ -38,9 +42,11 @@ import (
 //     is exact again. Under SubDisconnect the subscription is closed with
 //     ErrSlowConsumer.
 //   - After a quiescent store, the accumulated answer set (snapshot plus
-//     applied deltas) equals the one-shot query answer: maintenance runs
-//     that raced concurrent writers taint the extension and force the
-//     next flush to recompute, so the final flush is always exact.
+//     applied deltas) equals the one-shot query answer. A full run reads
+//     its facts under one store lock and cuts the event queue there, so
+//     the next batch is exact; a slice that reads objects resolves them
+//     after the cut, and any event racing its run taints the answer and
+//     forces the next flush to recompute.
 //
 // Windows: the goal may conjoin window(F, N) — F a goal variable, N a
 // positive integer — restricting answers to those whose F binds to one
@@ -163,21 +169,22 @@ type Subscription struct {
 	pending    []store.Event
 	reset      bool
 	clockReset bool
-	relevant   map[string]bool
+	filter     sliceFilter
 	framePuts  []object.OID
 	frameLost  uint64
 	stopped    bool
 
 	wake chan struct{} // capacity 1; tokens mean "pending work"
 
-	// Pump-private maintenance state.
-	valid       bool
+	// Pump-private maintenance state. eng is the retained engine: its goal
+	// relation is the answer set (nil until the first run, and after a
+	// failed Apply). visible is a windowed subscription's last emitted
+	// answer, in answer order.
+	eng         *datalog.Engine
 	tainted     bool
 	incremental bool
 	fingerprint string
-	ext         datalog.Extension
-	fullRows    [][]object.Value
-	cur         map[string][]object.Value // visible answers by row key
+	visible     [][]object.Value
 	frames      uint64
 	stamps      map[object.OID]uint64
 
@@ -324,7 +331,6 @@ func (db *DB) SubscribeQuery(rules []string, goal string, opts SubOptions) (*Sub
 		pumpCtx:      ctx,
 		pumpCancel:   cancel,
 		done:         make(chan struct{}),
-		cur:          make(map[string][]object.Value),
 		stamps:       make(map[object.OID]uint64),
 	}
 
@@ -449,7 +455,7 @@ func (s *Subscription) enqueue(ev store.Event) {
 	switch ev.Kind {
 	case store.EventAddFact, store.EventDeleteFact:
 		if !s.reset {
-			if s.relevant != nil && !s.relevant[ev.Fact.Name] {
+			if !s.filter.admitsFact(ev.Fact.Name) {
 				return
 			}
 			if len(s.pending) >= maxPendingEvents {
@@ -460,11 +466,10 @@ func (s *Subscription) enqueue(ev store.Event) {
 			}
 		}
 	case store.EventPutObject:
-		// Object mutations invalidate wholesale (class atoms, attribute
-		// filters), and interval puts additionally advance the windowed
-		// frame clock — retain the oid so the pump can stamp it.
-		s.reset = true
-		s.pending = nil
+		// Interval puts advance the windowed frame clock — retain the oid
+		// so the pump can stamp it. A slice that can read objects (class
+		// atoms, attribute operands) is invalidated wholesale; for an
+		// object-free one without a window the put changes nothing.
 		if len(s.windows) > 0 {
 			if len(s.framePuts) >= maxPendingEvents {
 				s.framePuts = s.framePuts[1:]
@@ -472,7 +477,16 @@ func (s *Subscription) enqueue(ev store.Event) {
 			}
 			s.framePuts = append(s.framePuts, ev.OID)
 		}
+		if s.filter.admitsObjects() {
+			s.reset = true
+			s.pending = nil
+		} else if len(s.windows) == 0 {
+			return
+		}
 	case store.EventDeleteObject:
+		if !s.filter.admitsObjects() {
+			return
+		}
 		s.reset = true
 		s.pending = nil
 	default: // EventReset: the ingest history itself is gone
@@ -577,90 +591,169 @@ func (s *Subscription) flush() bool {
 	s.pruneStamps()
 
 	prog, fp := s.db.subProgram(s)
-	full := !s.valid || needReset || s.tainted || fp != s.fingerprint
+	full := s.eng == nil || needReset || s.tainted || fp != s.fingerprint
 	s.tainted = false
 
-	var ins, del datalog.FactDelta
-	if !full {
-		var nIns, nDel int
-		ins, del, nIns, nDel = foldEvents(batch)
-		if nIns == 0 && nDel == 0 {
-			// Net no-op batch; only window aging can change visibility.
-			return s.emitDiff(false)
-		}
-		if !s.incremental {
-			full = true
-		}
-	}
 	runCtx := s.pumpCtx
 	cancel := func() {}
 	if s.opts.RefreshBudget > 0 {
 		runCtx, cancel = context.WithTimeout(s.pumpCtx, s.opts.RefreshBudget)
 	}
 	defer cancel()
-	engOpts := s.db.engOpts
-	engOpts = append(append([]datalog.Option(nil), engOpts...), datalog.WithContext(runCtx))
 
-	var eng *datalog.Engine
 	if !full {
-		var err error
-		eng, err = datalog.NewEngine(s.db.st, prog, engOpts...)
-		if err != nil {
-			return s.fail(err)
+		ins, del, nIns, nDel := foldEvents(batch)
+		if nIns == 0 && nDel == 0 {
+			// Net no-op batch; only window aging can change visibility.
+			return s.emitChange(nil, nil)
 		}
-		if err = eng.RunIncremental(s.ext, ins, del); err != nil {
+		if s.incremental {
+			plus, minus, err := s.eng.Apply(runCtx, ins, del)
+			if err == nil {
+				s.incrs.Add(1)
+				return s.emitChange(s.goalRows(plus), s.goalRows(minus))
+			}
 			if datalog.IsCanceled(err) {
 				return s.fail(err)
 			}
-			full = true // unexpected incremental failure: recompute
-		} else {
-			s.incrs.Add(1)
+			s.eng = nil // undefined after a failed Apply: recompute
 		}
 	}
-	if full {
-		var err error
-		eng, err = datalog.NewEngine(s.db.st, prog, engOpts...)
-		if err != nil {
-			return s.fail(err)
+	return s.recompute(runCtx, prog, fp)
+}
+
+// recompute evaluates the slice from scratch into a new retained engine
+// and emits the change from the previous answer (a snapshot on the
+// first flush, or when no previous engine survives).
+//
+// The engine reads its facts under one store read lock and publishes
+// the new event filter there. For an object-free slice it also cuts the
+// pending queue there: events queued before the cut are in the run's
+// snapshot, later ones are exactly the next batch, so the engine stays
+// incremental under continuous ingest. A slice that reads objects reads
+// them lazily, after the cut; any event queued while it ran taints the
+// answer and the next flush recomputes.
+func (s *Subscription) recompute(ctx context.Context, prog datalog.Program, fp string) bool {
+	opts := append(append([]datalog.Option(nil), s.db.engOpts...), datalog.WithContext(ctx))
+	eng, err := datalog.NewEngine(s.db.st, prog, opts...)
+	if err != nil {
+		return s.fail(err)
+	}
+	objects := eng.ReadsObjects()
+	filter := newSliceFilter(prog, s.goal.Atom.Pred, objects)
+	cut := func() {
+		s.pendingMu.Lock()
+		s.filter = filter
+		if !objects {
+			s.pending = nil
+			s.reset = false
 		}
-		if err = eng.Run(); err != nil {
-			return s.fail(err)
-		}
-		s.recomps.Add(1)
+		s.pendingMu.Unlock()
+	}
+	if err := eng.RunAt(cut); err != nil {
+		return s.fail(err)
+	}
+	s.recomps.Add(1)
+	if objects {
+		//videolint:ignore lockcheck deliberate two-phase flush: events racing the engine run set tainted and force the next flush to recompute
+		s.pendingMu.Lock()
+		s.tainted = len(s.pending) > 0 || s.reset
+		s.pendingMu.Unlock()
 	}
 
-	s.ext = eng.Extensions()
-	rows, direct := s.ext[s.goal.Atom.Pred]
-	if !direct || !s.goal.Atom.DistinctVars() {
-		res, err := eng.Query(s.goal.Atom)
-		if err != nil {
-			return s.fail(err)
-		}
-		rows = make([][]object.Value, len(res))
-		for i, r := range res {
-			rows[i] = r.Values
-		}
-	}
-	s.fullRows = rows
-	s.fingerprint = fp
+	prev := s.eng
+	s.eng, s.fingerprint = eng, fp
 	s.incremental = prog.SupportsIncremental() && isIDBPred(prog, s.goal.Atom.Pred)
-	s.valid = true
-
-	// Publish the relevance filter, and detect racing writers: any event
-	// queued while the engine ran means the store may have moved past
-	// what this flush read, so the maintained extension cannot be
-	// trusted as a prior — the next flush must recompute. The events
-	// themselves are still queued and will trigger that flush.
-	rel := relevantPreds(prog, s.goal.Atom.Pred)
-	//videolint:ignore lockcheck deliberate two-phase flush: events racing the engine run set tainted and force the next flush to recompute
-	s.pendingMu.Lock()
-	s.relevant = rel
-	if len(s.pending) > 0 || s.reset {
-		s.tainted = true
+	next, err := s.answer()
+	if err != nil {
+		return s.fail(err)
 	}
-	s.pendingMu.Unlock()
+	if prev == nil || s.nextSeq == 0 {
+		return s.emitSnapshot(next)
+	}
+	if len(s.windows) > 0 {
+		return s.emitVisible(next)
+	}
+	old, err := answerOf(prev, s.goal.Atom)
+	if err != nil {
+		return s.fail(err)
+	}
+	plus, minus := diffAnswers(old, next)
+	return s.emit(plus, minus)
+}
 
-	return s.emitDiff(false)
+// answer is the retained engine's current visible answer, in answer
+// order.
+func (s *Subscription) answer() ([][]object.Value, error) {
+	rows, err := answerOf(s.eng, s.goal.Atom)
+	if err != nil || len(s.windows) == 0 {
+		return rows, err
+	}
+	vis := rows[:0:0]
+	for _, r := range rows {
+		if s.visibleRow(r) {
+			vis = append(vis, r)
+		}
+	}
+	return vis, nil
+}
+
+// answerOf reads an engine's answer to the goal, in answer order (the
+// canonical order of Engine.Query).
+func answerOf(eng *datalog.Engine, goal datalog.RelAtom) ([][]object.Value, error) {
+	res, err := eng.Query(goal)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]object.Value, len(res))
+	for i, r := range res {
+		rows[i] = r.Values
+	}
+	return rows, nil
+}
+
+// goalRows turns the goal predicate's entry of an Apply net change into
+// answer rows, in answer order: a goal with constants or repeated
+// variables keeps the tuples that unify with it, projected onto its
+// columns, as Engine.Query does. The projection is injective (constants
+// are fixed, repeated variables equal), so net tuples stay net rows.
+func (s *Subscription) goalRows(ext datalog.Extension) [][]object.Value {
+	tuples := ext[s.goal.Atom.Pred]
+	if len(tuples) == 0 {
+		return nil
+	}
+	args := s.goal.Atom.Args
+	distinct := s.goal.Atom.DistinctVars()
+	rows := make([][]object.Value, 0, len(tuples))
+tuple:
+	for _, t := range tuples {
+		if len(t) != len(args) {
+			continue
+		}
+		if distinct {
+			rows = append(rows, t)
+			continue
+		}
+		r := make([]object.Value, 0, len(s.columns))
+		for i, a := range args {
+			if !a.IsVar() {
+				if !a.Value().Equal(t[i]) {
+					continue tuple
+				}
+				continue
+			}
+			col := slices.Index(s.columns, a.Name())
+			if col < len(r) {
+				if !r[col].Equal(t[i]) {
+					continue tuple
+				}
+				continue
+			}
+			r = append(r, t[i])
+		}
+		rows = append(rows, r)
+	}
+	return sortAnswer(rows)
 }
 
 // pruneStamps drops frame stamps that have aged past every window.
@@ -701,84 +794,164 @@ func (s *Subscription) visibleRow(r []object.Value) bool {
 	return true
 }
 
-// emitDiff recomputes the visible answer set, diffs it against the
-// previous one, and pushes the resulting events. snapshotOnly forces a
-// snapshot instead of deltas (initial emission). Returns false when the
-// subscription closed.
-func (s *Subscription) emitDiff(snapshotOnly bool) bool {
-	s.flushes.Add(1)
-	newVis := make(map[string][]object.Value, len(s.fullRows))
-	for _, r := range s.fullRows {
-		if s.visibleRow(r) {
-			newVis[subRowKey(r)] = r
-		}
+// emitChange emits one maintained batch: the answer's net change for a
+// plain subscription; for a windowed one, the visibility pass over the
+// engine's answer diffed against what it last emitted (frames may have
+// aged rows out even when no fact changed).
+func (s *Subscription) emitChange(plus, minus [][]object.Value) bool {
+	if len(s.windows) == 0 {
+		return s.emit(plus, minus)
 	}
+	next, err := s.answer()
+	if err != nil {
+		return s.fail(err)
+	}
+	return s.emitVisible(next)
+}
 
+// emitVisible diffs a windowed subscription's visible answer against the
+// one it last emitted.
+func (s *Subscription) emitVisible(next [][]object.Value) bool {
+	plus, minus := diffAnswers(s.visible, next)
+	s.visible = next
+	return s.emit(plus, minus)
+}
+
+// emitSnapshot pushes the full answer as a snapshot: the first event, or
+// a restart after the previous answer was lost.
+func (s *Subscription) emitSnapshot(rows [][]object.Value) bool {
+	s.flushes.Add(1)
+	if len(s.windows) > 0 {
+		s.visible = rows
+	}
 	s.qmu.Lock()
+	defer s.qmu.Unlock()
 	if s.closed {
-		s.qmu.Unlock()
 		return false
 	}
-	first := s.nextSeq == 0
-	overflowed := false
-	if first || snapshotOnly {
-		s.pushLocked(s.snapshotEvent(newVis))
-	} else {
-		// Deterministic emission order keeps tests and logs stable.
-		var keys []string
-		for k := range newVis {
-			if _, ok := s.cur[k]; !ok {
-				keys = append(keys, k)
-			}
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if !s.pushDeltaLocked(SubEvent{Kind: SubDelta, Sign: +1, Row: newVis[k]}) {
-				overflowed = true
-				break
-			}
-		}
-		if !overflowed {
-			keys = keys[:0]
-			for k := range s.cur {
-				if _, ok := newVis[k]; !ok {
-					keys = append(keys, k)
-				}
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				if !s.pushDeltaLocked(SubEvent{Kind: SubDelta, Sign: -1, Row: s.cur[k]}) {
-					overflowed = true
-					break
-				}
-			}
-		}
+	s.pushLocked(snapshotEvent(rows))
+	return true
+}
+
+// emit pushes +rows then -rows (each in answer order, so emission is
+// deterministic). A full queue under drop-resync replaces the backlog and
+// the rest of the change with one snapshot of the current answer.
+// Returns false when the subscription closed.
+func (s *Subscription) emit(plus, minus [][]object.Value) bool {
+	s.flushes.Add(1)
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	if s.closed {
+		return false
 	}
+	overflowed := !s.pushDeltasLocked(+1, plus) || !s.pushDeltasLocked(-1, minus)
 	if overflowed && !s.closed {
-		// Drop-resync: the backlog (and the rest of this diff) is
+		// Drop-resync: the backlog (and the rest of this change) is
 		// replaced by one fresh snapshot.
+		var rows [][]object.Value
+		if s.eng != nil {
+			var err error
+			if rows, err = s.answer(); err != nil {
+				s.closeLocked(fmt.Errorf("core: subscription maintenance failed: %w", err))
+				return false
+			}
+		}
 		s.dropQueueLocked()
-		s.pushLocked(s.snapshotEvent(newVis))
+		s.pushLocked(snapshotEvent(rows))
 		s.resyncs.Add(1)
 		s.db.subs.resyncs.Add(1)
 	}
-	closed := s.closed
-	s.qmu.Unlock()
-	s.cur = newVis
-	return !closed
+	return !s.closed
 }
 
-func (s *Subscription) snapshotEvent(vis map[string][]object.Value) SubEvent {
-	rows := make([][]object.Value, 0, len(vis))
-	keys := make([]string, 0, len(vis))
-	for k := range vis {
-		keys = append(keys, k)
+// pushDeltasLocked pushes one delta per row, stopping at the first that
+// does not fit (see pushDeltaLocked). Caller holds qmu.
+func (s *Subscription) pushDeltasLocked(sign int, rows [][]object.Value) bool {
+	for _, r := range rows {
+		if !s.pushDeltaLocked(SubEvent{Kind: SubDelta, Sign: sign, Row: r}) {
+			return false
+		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		rows = append(rows, vis[k])
+	return true
+}
+
+// snapshotEvent wraps answer rows as a snapshot; an empty answer is an
+// empty (non-nil) row list.
+func snapshotEvent(rows [][]object.Value) SubEvent {
+	if rows == nil {
+		rows = [][]object.Value{}
 	}
 	return SubEvent{Kind: SubSnapshot, Rows: rows}
+}
+
+// sortAnswer puts rows in answer order — by rendered key, ties by value
+// order, as Engine.Query sorts — computing each key once.
+func sortAnswer(rows [][]object.Value) [][]object.Value {
+	keys := answerKeys(rows)
+	idx := make([]int, len(rows))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		return compareAnswer(keys[idx[a]], rows[idx[a]], keys[idx[b]], rows[idx[b]]) < 0
+	})
+	out := make([][]object.Value, len(rows))
+	for i, j := range idx {
+		out[i] = rows[j]
+	}
+	return out
+}
+
+func answerKeys(rows [][]object.Value) []string {
+	keys := make([]string, len(rows))
+	for i, r := range rows {
+		keys[i] = subRowKey(r)
+	}
+	return keys
+}
+
+// compareAnswer is the answer order of two rows given their keys.
+func compareAnswer(ka string, a []object.Value, kb string, b []object.Value) int {
+	if c := strings.Compare(ka, kb); c != 0 {
+		return c
+	}
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if c := a[i].Compare(b[i]); c != 0 {
+			return c
+		}
+	}
+	return len(a) - len(b)
+}
+
+// diffAnswers merges two answers in answer order: the rows of next
+// missing from prev, and the rows of prev missing from next, both in
+// answer order.
+func diffAnswers(prev, next [][]object.Value) (plus, minus [][]object.Value) {
+	pk, nk := answerKeys(prev), answerKeys(next)
+	i, j := 0, 0
+	for i < len(prev) || j < len(next) {
+		var c int
+		switch {
+		case i == len(prev):
+			c = 1
+		case j == len(next):
+			c = -1
+		default:
+			c = compareAnswer(pk[i], prev[i], nk[j], next[j])
+		}
+		switch {
+		case c < 0:
+			minus = append(minus, prev[i])
+			i++
+		case c > 0:
+			plus = append(plus, next[j])
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	return plus, minus
 }
 
 // pushLocked appends unconditionally (snapshots always fit: the queue

@@ -290,7 +290,7 @@ func TestSubscribeOverflowResync(t *testing.T) {
 
 // The dropped counter counts slow-consumer drop cycles, not discarded
 // deltas: one overflow that throws away a whole backlog is one event to
-// an operator, however deep the queue was. This drives emitDiff directly
+// an operator, however deep the queue was. This drives emit directly
 // (white box) so the per-cycle count is deterministic — the end-to-end
 // path coalesces flushes and cannot pin an exact number.
 func TestSubscribeDroppedCountsCyclesNotDeltas(t *testing.T) {
@@ -300,7 +300,6 @@ func TestSubscribeDroppedCountsCyclesNotDeltas(t *testing.T) {
 		db:           db,
 		opts:         SubOptions{QueueSize: 2}.withDefaults(),
 		consumerWake: make(chan struct{}, 1),
-		cur:          make(map[string][]object.Value),
 	}
 	s.nextSeq = 1 // past the initial snapshot, so diffs flow as deltas
 
@@ -314,9 +313,8 @@ func TestSubscribeDroppedCountsCyclesNotDeltas(t *testing.T) {
 
 	// Ten new rows against a 2-slot queue: two deltas fit, the third
 	// overflows — one drop cycle, one resync snapshot.
-	s.fullRows = rows(0, 10)
-	if !s.emitDiff(false) {
-		t.Fatal("emitDiff reported the subscription closed")
+	if !s.emit(rows(0, 10), nil) {
+		t.Fatal("emit reported the subscription closed")
 	}
 	if got := s.dropped.Load(); got != 1 {
 		t.Fatalf("dropped after first overflow = %d, want 1 (one cycle, not one per delta)", got)
@@ -327,9 +325,8 @@ func TestSubscribeDroppedCountsCyclesNotDeltas(t *testing.T) {
 
 	// A second overflowing diff is a second cycle: the counter advances
 	// by exactly one again, regardless of backlog contents.
-	s.fullRows = rows(100, 10)
-	if !s.emitDiff(false) {
-		t.Fatal("emitDiff reported the subscription closed")
+	if !s.emit(rows(100, 10), rows(0, 10)) {
+		t.Fatal("emit reported the subscription closed")
 	}
 	if got := s.dropped.Load(); got != 2 {
 		t.Fatalf("dropped after second overflow = %d, want 2", got)
@@ -501,9 +498,14 @@ func TestSubscribeWindowAging(t *testing.T) {
 }
 
 // TestSubscribeDifferentialOracle is the acceptance-criteria oracle for
-// subscriptions: random mutation bursts from concurrent writers, with
-// the engine running Parallel(4); at quiescence the accumulated stream
-// equals the one-shot query answer.
+// subscriptions: random mutation bursts from concurrent writers — edge
+// facts, and interval puts and deletes on the very oids the edges
+// reference — with the engine running serially and under Parallel(4),
+// on the backend VIDEODB_TEST_BACKEND names. Standing goals run side
+// by side: object-free ones — all variables, a constant, a repeated
+// variable — which ignore the object events and are maintained in place,
+// and one whose attribute guard reads objects. At quiescence each
+// accumulated stream equals the one-shot query answer.
 func TestSubscribeDifferentialOracle(t *testing.T) {
 	variants := []struct {
 		name string
@@ -512,11 +514,12 @@ func TestSubscribeDifferentialOracle(t *testing.T) {
 		{"serial", nil},
 		{"parallel", []Option{WithEngineOptions(datalog.Parallel(4))}},
 	}
+	goals := []string{"?- reach(X, Y)", "?- reach(n0, Y)", "?- reach(X, X)", "?- reach(X, Y), Y.n > 2"}
 	for _, variant := range variants {
 		variant := variant
 		t.Run(variant.name, func(t *testing.T) {
 			for seed := int64(0); seed < 4; seed++ {
-				db := New(variant.opts...)
+				db := oracleDB(t, variant.opts...)
 				for _, rule := range []string{
 					"reach(X, Y) :- edge(X, Y)",
 					"reach(X, Z) :- reach(X, Y), edge(Y, Z)",
@@ -525,13 +528,18 @@ func TestSubscribeDifferentialOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				sub, err := db.SubscribeQuery(nil, "?- reach(X, Y)", SubOptions{QueueSize: 64})
-				if err != nil {
-					t.Fatal(err)
+				subs := make([]*Subscription, len(goals))
+				accs := make([]*subAccum, len(goals))
+				for i, goal := range goals {
+					sub, err := db.SubscribeQuery(nil, goal, SubOptions{QueueSize: 64})
+					if err != nil {
+						t.Fatal(err)
+					}
+					subs[i], accs[i] = sub, newSubAccum()
 				}
 
 				// 4 writers mutate concurrently — with each other, with the
-				// pump, and with the consumer below.
+				// pumps, and with the consumer below.
 				var wg sync.WaitGroup
 				for w := 0; w < 4; w++ {
 					w := w
@@ -542,19 +550,25 @@ func TestSubscribeDifferentialOracle(t *testing.T) {
 						for i := 0; i < 40; i++ {
 							a := object.OID(fmt.Sprintf("n%d", r.Intn(6)))
 							b := object.OID(fmt.Sprintf("n%d", r.Intn(6)))
-							if r.Intn(3) == 0 {
-								if _, err := db.Unrelate("edge", a, b); err != nil {
-									t.Error(err)
-									return
-								}
-							} else if err := db.Relate("edge", a, b); err != nil {
+							var err error
+							switch k := r.Intn(10); {
+							case k < 5:
+								err = db.Relate("edge", a, b)
+							case k < 7:
+								_, err = db.Unrelate("edge", a, b)
+							case k < 9:
+								err = db.PutInterval(a, interval.New(interval.Closed(float64(i), float64(i+1))),
+									map[string]object.Value{"n": object.Num(float64(r.Intn(5)))})
+							default:
+								db.Store().Delete(a)
+							}
+							if err != nil {
 								t.Error(err)
 								return
 							}
 						}
 					}()
 				}
-				acc := newSubAccum()
 				done := make(chan struct{})
 				go func() { wg.Wait(); close(done) }()
 				// Consume while the writers run (events may resync under
@@ -565,18 +579,21 @@ func TestSubscribeDifferentialOracle(t *testing.T) {
 					case <-done:
 						consuming = false
 					default:
-						ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-						ev, err := sub.Next(ctx)
-						cancel()
-						if err == nil {
-							acc.apply(t, ev)
+						for i, sub := range subs {
+							ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+							ev, err := sub.Next(ctx)
+							cancel()
+							if err == nil {
+								accs[i].apply(t, ev)
+							}
 						}
 					}
 				}
-				// Quiescent store: the stream must converge exactly.
-				drainToOracle(t, db, sub, acc,
-					"?- reach(X, Y)", fmt.Sprintf("seed %d", seed))
-				sub.Close()
+				// Quiescent store: every stream must converge exactly.
+				for i, goal := range goals {
+					drainToOracle(t, db, subs[i], accs[i], goal, fmt.Sprintf("seed %d goal %s", seed, goal))
+					subs[i].Close()
+				}
 				db.Close()
 			}
 		})

@@ -29,8 +29,9 @@ import (
 //     events fold to a net FactDelta and datalog.RunIncremental applies
 //     insertion semi-naive propagation plus DRed deletion, seeded from
 //     the previous extension.
-//   - recompute: anything else — object mutations (class atoms and
-//     attribute filters can depend on any object), a store reset, a
+//   - recompute: anything else — object mutations when the slice can
+//     read objects (class atoms, attribute operands, ⊕; an object-free
+//     slice ignores object events, see sliceFilter), a store reset, a
 //     rule-set change (detected by fingerprinting the rendered reachable
 //     slice, the Vet-style schema snapshot), an overflowing event queue,
 //     or a slice outside the maintainable fragment.
@@ -58,13 +59,13 @@ type viewState struct {
 	mu sync.Mutex
 
 	// The event queue, guarded separately so store mutations delivering
-	// events never contend with a running refresh. relevant is read by
-	// the delivery path and rebuilt by refreshes, so it lives under
-	// pendingMu too.
+	// events never contend with a running refresh. filter is read by the
+	// delivery path and rebuilt by refreshes, so it lives under pendingMu
+	// too.
 	pendingMu sync.Mutex
 	pending   []store.Event
-	reset     bool // object event, store reset, or overflow → recompute
-	relevant  map[string]bool
+	reset     bool // admitted object event, store reset, or overflow → recompute
+	filter    sliceFilter
 
 	// Materialized state, guarded by mu.
 	valid       bool
@@ -246,10 +247,7 @@ func (v *viewState) enqueue(ev store.Event) {
 		if v.reset {
 			return // a recompute is owed anyway
 		}
-		// Facts on predicates outside the view's reachable slice cannot
-		// change its answers. Before the first successful build relevant
-		// is nil and everything is kept (conservative).
-		if v.relevant != nil && !v.relevant[ev.Fact.Name] {
+		if !v.filter.admitsFact(ev.Fact.Name) {
 			return
 		}
 		if len(v.pending) >= maxPendingEvents {
@@ -258,10 +256,13 @@ func (v *viewState) enqueue(ev store.Event) {
 			return
 		}
 		v.pending = append(v.pending, ev)
-	default:
-		// Object mutations and store resets invalidate wholesale: class
-		// atoms, attribute filters, and constraint entailment can depend
-		// on any object.
+	case store.EventPutObject, store.EventDeleteObject:
+		if !v.filter.admitsObjects() {
+			return
+		}
+		v.reset = true
+		v.pending = nil
+	default: // EventReset
 		v.reset = true
 		v.pending = nil
 	}
@@ -417,11 +418,11 @@ func (db *DB) refreshView(ctx context.Context, v *viewState) (*ViewResult, error
 		v.recomputes++
 	}
 
-	// Publish the predicate relevance filter for the event path.
-	rel := relevantPreds(prog, v.goal.Atom.Pred)
-	//videolint:ignore lockcheck deliberate split: publishing the relevance filter; events racing the build stay queued and trigger the next flush
+	// Publish the event filter for the delivery path.
+	filter := newSliceFilter(prog, v.goal.Atom.Pred, eng.ReadsObjects())
+	//videolint:ignore lockcheck deliberate split: publishing the event filter; events racing the build stay queued and trigger the next flush
 	v.pendingMu.Lock()
-	v.relevant = rel
+	v.filter = filter
 	v.pendingMu.Unlock()
 
 	return v.snapshot(mode, nIns, nDel), nil
@@ -477,6 +478,30 @@ func foldEvents(batch []store.Event) (ins, del datalog.FactDelta, nIns, nDel int
 	}
 	return ins, del, nIns, nDel
 }
+
+// sliceFilter says which store events can change a maintained query's
+// answer; views and subscriptions publish one after each build. Fact
+// events count on the predicates of the reachable slice. Object puts and
+// deletes count only when the slice can read objects
+// (datalog.Engine.ReadsObjects): an object-free slice, such as a
+// relation over stored references, cannot see them — a dangling
+// reference simply never joins. The zero value, before the first build,
+// admits every event.
+type sliceFilter struct {
+	preds   map[string]bool
+	objects bool
+}
+
+func newSliceFilter(prog datalog.Program, goal string, readsObjects bool) sliceFilter {
+	return sliceFilter{preds: relevantPreds(prog, goal), objects: readsObjects}
+}
+
+// admitsFact reports whether a fact event on pred can change the answer.
+func (f sliceFilter) admitsFact(pred string) bool { return f.preds == nil || f.preds[pred] }
+
+// admitsObjects reports whether an object put or delete can change the
+// answer.
+func (f sliceFilter) admitsObjects() bool { return f.preds == nil || f.objects }
 
 // relevantPreds collects every predicate mentioned in the slice (heads
 // and relational body atoms, negated included) plus the goal predicate:

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"videodb/internal/datalog"
+	"videodb/internal/interval"
 	"videodb/internal/object"
 )
 
@@ -140,14 +141,113 @@ func TestMaterializeModes(t *testing.T) {
 		t.Fatalf("net-zero batch mode = %s, want cached", vr.Mode)
 	}
 
-	// An object mutation invalidates wholesale.
+	// reach reads no objects, so an object mutation cannot change it: the
+	// cache stays warm (TestViewObjectReadingSliceRecomputes covers the
+	// slices it does invalidate).
 	if err := db.PutEntity("e1", map[string]object.Value{"n": object.Num(1)}); err != nil {
 		t.Fatal(err)
 	}
 	vr = assertViewMatchesQuery(t, db, "closure", "?- reach(X, Y)", "after object put")
-	if vr.Mode != ViewRecompute {
-		t.Fatalf("post-object mode = %s, want recompute", vr.Mode)
+	if vr.Mode != ViewCached {
+		t.Fatalf("post-object mode = %s, want cached", vr.Mode)
 	}
+}
+
+// costarRules is the object-free slice of the tracked ingest workload:
+// it joins stored references only, so a dangling shot reference simply
+// never joins and object events cannot change its answer.
+var costarRules = []string{
+	"costar(X, Y, S) :- appears_with(X, Y, S)",
+	"costar(X, Y, S) :- appears_with(Y, X, S)",
+}
+
+// shotInterval puts the interval a shot's appears_with facts reference.
+func shotInterval(t *testing.T, db *DB, oid string, at float64) {
+	t.Helper()
+	err := db.PutInterval(object.OID(oid), interval.New(interval.Closed(at, at+1)),
+		map[string]object.Value{"kind": object.Str("shot")})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A view over an object-free slice stays incremental across a shot's
+// arrival and retirement, interval Put and Delete included, and object
+// events alone leave its cache warm.
+func TestViewObjectFreeSliceIgnoresObjects(t *testing.T) {
+	db := oracleDB(t)
+	for _, r := range costarRules {
+		if err := db.DefineRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shotInterval(t, db, "s1", 0)
+	if err := db.Relate("appears_with", "a", "b", "s1"); err != nil {
+		t.Fatal(err)
+	}
+	const goal = "?- costar(X, Y, S)"
+	if _, err := db.Materialize("co", goal); err != nil {
+		t.Fatal(err)
+	}
+	want := func(label string, mode ViewMode) {
+		t.Helper()
+		if vr := assertViewMatchesQuery(t, db, "co", goal, label); vr.Mode != mode {
+			t.Fatalf("%s: mode %s, want %s", label, vr.Mode, mode)
+		}
+	}
+
+	shotInterval(t, db, "s2", 2)
+	if err := db.Relate("appears_with", "b", "c", "s2"); err != nil {
+		t.Fatal(err)
+	}
+	want("shot arrives", ViewIncremental)
+
+	if _, err := db.Unrelate("appears_with", "b", "c", "s2"); err != nil {
+		t.Fatal(err)
+	}
+	if !db.Store().Delete("s2") {
+		t.Fatal("delete s2")
+	}
+	want("shot retires", ViewIncremental)
+
+	shotInterval(t, db, "s3", 4)
+	want("interval put alone", ViewCached)
+	db.Store().Delete("s1") // s1's facts now dangle; they still join
+	want("interval delete alone", ViewCached)
+}
+
+// A view whose slice reads objects — a class atom, an attribute guard —
+// still recomputes on an interval Put or Delete.
+func TestViewObjectReadingSliceRecomputes(t *testing.T) {
+	db := oracleDB(t)
+	shotInterval(t, db, "s1", 0)
+	if err := db.Relate("appears_with", "a", "b", "s1"); err != nil {
+		t.Fatal(err)
+	}
+	goals := map[string]string{
+		"class": "?- Interval(G), appears_with(X, Y, G)",
+		"guard": "?- appears_with(X, Y, G), G.kind = \"shot\"",
+	}
+	for name, goal := range goals {
+		if _, err := db.Materialize(name, goal); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(label string) {
+		t.Helper()
+		for name, goal := range goals {
+			if vr := assertViewMatchesQuery(t, db, name, goal, label+" "+name); vr.Mode != ViewRecompute {
+				t.Fatalf("%s %s: mode %s, want recompute", label, name, vr.Mode)
+			}
+		}
+	}
+	if err := db.Relate("appears_with", "b", "c", "s2"); err != nil {
+		t.Fatal(err)
+	}
+	shotInterval(t, db, "s2", 2)
+	check("interval put")
+	db.Store().Delete("s1")
+	check("interval delete")
 }
 
 func TestMaterializeDuplicateDropList(t *testing.T) {
@@ -312,9 +412,12 @@ func TestViewCancellationLeavesViewIntact(t *testing.T) {
 }
 
 // TestViewDifferentialOracle is the acceptance-criteria oracle: after
-// every random interleaving of fact asserts/retracts (with occasional
-// object writes), each materialized view equals a from-scratch query —
-// serially and under parallel engine workers.
+// every random interleaving of fact asserts/retracts with object writes
+// — entity puts, and interval puts and deletes on the oids the edges
+// reference — each materialized view equals a from-scratch query,
+// serially and under parallel engine workers, on the backend
+// VIDEODB_TEST_BACKEND names. One view's attribute guard reads objects;
+// the others are object-free and ignore object events.
 func TestViewDifferentialOracle(t *testing.T) {
 	variants := []struct {
 		name string
@@ -328,7 +431,7 @@ func TestViewDifferentialOracle(t *testing.T) {
 			incrementalRuns := 0
 			for seed := int64(0); seed < 12; seed++ {
 				r := rand.New(rand.NewSource(seed))
-				db := New(variant.opts...)
+				db := oracleDB(t, variant.opts...)
 				for _, rule := range []string{
 					"reach(X, Y) :- edge(X, Y)",
 					"reach(X, Z) :- reach(X, Y), edge(Y, Z)",
@@ -356,6 +459,7 @@ func TestViewDifferentialOracle(t *testing.T) {
 				goals := map[string]string{
 					"closure": "?- reach(X, Y)",
 					"hops":    "?- hop2(X, Z)",
+					"guarded": "?- reach(X, Y), Y.n > 2",
 				}
 				for name, goal := range goals {
 					if _, err := db.Materialize(name, goal); err != nil {
@@ -367,7 +471,7 @@ func TestViewDifferentialOracle(t *testing.T) {
 					// A burst of 1–4 mutations between reads, so folding
 					// and multi-event batches are exercised.
 					for m := 0; m < 1+r.Intn(4); m++ {
-						switch k := r.Intn(10); {
+						switch k := r.Intn(12); {
 						case k < 4 || len(present) == 0: // insert edge
 							e := [2]object.OID{nodes[r.Intn(len(nodes))], nodes[r.Intn(len(nodes))]}
 							if !present[e] {
@@ -389,12 +493,20 @@ func TestViewDifferentialOracle(t *testing.T) {
 								t.Fatal(err)
 							}
 							delete(present, e)
-						case k < 9: // object write (forces recompute)
+						case k < 9: // entity write
 							err := db.PutEntity(object.OID(fmt.Sprintf("obj%d", r.Intn(4))),
 								map[string]object.Value{"n": object.Num(float64(step))})
 							if err != nil {
 								t.Fatal(err)
 							}
+						case k < 10: // interval put on a node the edges reference
+							err := db.PutInterval(nodes[r.Intn(len(nodes))], interval.New(interval.Closed(float64(step), float64(step+1))),
+								map[string]object.Value{"n": object.Num(float64(r.Intn(5)))})
+							if err != nil {
+								t.Fatal(err)
+							}
+						case k < 11: // interval delete
+							db.Store().Delete(nodes[r.Intn(len(nodes))])
 						default: // irrelevant fact (cache stays warm)
 							if err := db.Relate("likes", nodes[r.Intn(len(nodes))], nodes[r.Intn(len(nodes))]); err != nil {
 								t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 
 	"videodb/internal/interval"
 	"videodb/internal/object"
+	"videodb/internal/store"
 )
 
 // Rule compilation. The seed evaluator re-planned every rule body on every
@@ -110,6 +111,10 @@ type planStep struct {
 	varProbes  []int  // probes bound by variables (probed after constant pushdown)
 	constSig   string // cache key for constant-pushdown scans ("" = no constants)
 	freshSlots []int  // slots this step binds (cleared on backtrack)
+	// exact marks a fully bound step of a rederivation plan: the
+	// streaming executor finds its one candidate row through the
+	// relation's key set instead of building join indexes.
+	exact bool
 
 	// stepClassEnum / stepClassCheck
 	classKind   object.Kind
@@ -149,6 +154,7 @@ type frame struct {
 
 	scratch    row
 	scratchIDs []uint64
+	probeIDs   []uint64 // exact-lookup key buffer (rederivation)
 }
 
 func newFrame(cr *compiledRule, interned bool) *frame {
@@ -308,9 +314,39 @@ func compileSkeleton(r Rule) *compiledRule {
 	return cr
 }
 
+// constScan returns the pushdown signature of a relational atom's
+// constant arguments and the store bindings they make ("" and nil when
+// the atom has none).
+func constScan(a RelAtom) (string, []store.ArgBind) {
+	var sig strings.Builder
+	var binds []store.ArgBind
+	for k, t := range a.Args {
+		if t.IsVar() {
+			continue
+		}
+		if binds == nil {
+			sig.WriteString(a.Pred)
+		}
+		v := t.Value()
+		fmt.Fprintf(&sig, "\x00%d\x1f%s", k, v.String())
+		binds = append(binds, store.ArgBind{Pos: k, Val: v})
+	}
+	return sig.String(), binds
+}
+
+// rederivePos is the plan key of a rule's rederivation plan: the body
+// led by the head atom read as the head relation's delta, so DRed
+// re-proves only the over-deleted tuples (see incremental.go).
+const rederivePos = -2
+
 // compilePlan orders the body with planBody and classifies each literal,
 // tracking which slots are bound as the plan progresses.
 func (e *Engine) compilePlan(cr *compiledRule, r Rule, deltaPos int) ([]planStep, error) {
+	rederive := deltaPos == rederivePos
+	if rederive {
+		r.Body = append([]Literal{r.Head}, r.Body...)
+		deltaPos = 0
+	}
 	plan, err := planBody(r.Body, deltaPos)
 	if err != nil {
 		return nil, err
@@ -347,20 +383,12 @@ func (e *Engine) compilePlan(cr *compiledRule, r Rule, deltaPos int) ([]planStep
 			for _, s := range st.freshSlots {
 				boundSlots[s] = true
 			}
+			st.exact = rederive && !st.useDelta && len(st.freshSlots) == 0
 			// Constant arguments are pushdown candidates: an extensional
 			// scan can filter them inside the store instead of copying the
 			// full extent and probing an engine-side index. constSig keys
 			// the per-engine cache of pushed scans.
-			if nc := len(st.probes) - len(st.varProbes); nc > 0 {
-				var sig strings.Builder
-				sig.WriteString(a.Pred)
-				for k, as := range st.args {
-					if as.slot < 0 {
-						fmt.Fprintf(&sig, "\x00%d\x1f%s", k, as.key)
-					}
-				}
-				st.constSig = sig.String()
-			}
+			st.constSig, _ = constScan(a)
 
 		case ClassAtom:
 			st.classKind = a.Kind

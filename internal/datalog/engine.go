@@ -24,6 +24,11 @@ type Engine struct {
 	prog Program
 	idb  map[string]bool
 
+	// src is where the run reads facts: the store (each read takes its
+	// lock) or, while RunAt loads its extents, a store.Reader under one
+	// read lock.
+	src factSource
+
 	naive          bool
 	eager          bool
 	streaming      bool
@@ -85,9 +90,11 @@ type Engine struct {
 
 	// Whether the program can read the store's interval or entity oid
 	// list (computed once in finishInit); a run snapshots a list into
-	// baseIntervals/baseEntities only then.
+	// baseIntervals/baseEntities only then. readsObjects adds attribute
+	// operands: whether any stored object can change the fixpoint.
 	readsIntervals bool
 	readsEntities  bool
+	readsObjects   bool
 
 	// Query-goal predicates registered before Run so warmEDBCaches covers
 	// them: no worker or concurrent reader ever lazily writes edbCache.
@@ -149,10 +156,31 @@ type Engine struct {
 	// a map lookup per firing (worker copies are private).
 	curRel *relation
 
-	// ran records that runOnce has been consumed (by Run or
+	// ran records that runOnce has been consumed (by Run, RunAt or
 	// RunIncremental), distinguishing "already evaluated" from "evaluated
 	// with a nil error" for RunIncremental's misuse check.
 	ran *bool
+
+	// In-place maintenance (Apply, see incremental.go). together records
+	// that RunAt loaded every extent the plans read, so the EDB caches
+	// are complete and Apply never reads the store. base holds the stored
+	// facts of IDB predicates (only those that have some), which DRed
+	// rederives directly. edbScans lists the constant-filtered EDB caches
+	// by predicate, so a batch reaches each of them. incPlans holds the
+	// plans incremental maintenance adds to the compiled ones: extensional
+	// delta positions and rederivation.
+	together bool
+	base     map[string]*keySet
+	edbScans map[string][]edbScan
+	incPlans map[planKey][]planStep
+}
+
+// factSource is what a run reads facts through: *store.Store, or a
+// store.Reader inside store.ReadTogether.
+type factSource interface {
+	Facts(name string) []store.Fact
+	FactCount(name string) int
+	ScanFacts(name string, binds []store.ArgBind, fn func(store.Fact) bool)
 }
 
 // RunStats reports what a fixpoint computation did.
@@ -264,6 +292,7 @@ func NewEngine(st *store.Store, prog Program, opts ...Option) (*Engine, error) {
 func newEngineShell(st *store.Store, prog Program) *Engine {
 	return &Engine{
 		st:             st,
+		src:            st,
 		prog:           prog,
 		idb:            make(map[string]bool),
 		streaming:      true,
@@ -302,7 +331,9 @@ func (e *Engine) finishInit(opts []Option) {
 	}
 	for _, pred := range e.prog.IDB() {
 		e.idb[pred] = true
-		e.derived[pred] = newRelation(e.in)
+		rel := newRelation(e.in)
+		rel.located = true
+		e.derived[pred] = rel
 	}
 	if e.profiling {
 		e.prof = newProfileState(len(e.prog.Rules))
@@ -314,6 +345,7 @@ func (e *Engine) finishInit(opts []Option) {
 	// Entailment guards admit empty durations vacuously; the window
 	// pushdown needs the empty-duration interval list to stay a superset.
 	// Class atoms enumerate the interval or entity list.
+	readsAttrs := false
 	for _, r := range e.prog.Rules {
 		for _, l := range r.Body {
 			switch a := l.(type) {
@@ -326,12 +358,43 @@ func (e *Engine) finishInit(opts []Option) {
 					e.readsIntervals = true
 				}
 			}
+			readsAttrs = readsAttrs || readsAttribute(l)
 		}
 	}
 	// A ⊕ head or eager extension grows the interval list (intervalsGrow),
 	// and the empty-duration list is filtered from it.
 	e.readsIntervals = e.readsIntervals || e.intervalsGrow || e.needEmpties
+	e.readsObjects = e.readsIntervals || e.readsEntities || readsAttrs
 }
+
+// readsAttribute reports whether a constraint literal has an attribute
+// operand (X.a), which resolves against a stored object.
+func readsAttribute(l Literal) bool {
+	var ops []Operand
+	switch a := l.(type) {
+	case CmpAtom:
+		ops = []Operand{a.Left, a.Right}
+	case MemberAtom:
+		ops = append([]Operand{a.Set}, a.Elems...)
+	case EntailAtom:
+		ops = []Operand{a.Left, a.Right}
+	case TemporalAtom:
+		ops = []Operand{a.Left, a.Right}
+	}
+	for _, o := range ops {
+		if o.Attr != "" {
+			return true
+		}
+	}
+	return false
+}
+
+// ReadsObjects reports whether any stored object can change the
+// program's fixpoint: a class atom, an attribute operand (X.a) in a
+// comparison, membership, temporal or entailment atom, a ⊕ head, or
+// eager extension. When it is false only facts matter, so a maintained
+// answer can ignore object puts and deletes.
+func (e *Engine) ReadsObjects() bool { return e.readsObjects }
 
 // Stats returns the statistics of the last Run. It is safe to call
 // concurrently with Run (including Parallel(n) evaluation): mid-run it
@@ -366,21 +429,56 @@ func (e *Engine) Run() error {
 
 func (e *Engine) runFixpoint() error {
 	return e.runGuarded(func() error {
+		e.snapshotEDB()
 		e.seedEDB()
 		e.warmGoalPreds()
-		for s := 0; s <= e.maxStratum; s++ {
-			if err := e.runStratum(s); err != nil {
-				return err
-			}
-		}
-		return nil
+		return e.runStrata()
 	})
+}
+
+func (e *Engine) runStrata() error {
+	for s := 0; s <= e.maxStratum; s++ {
+		if err := e.runStratum(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RunAt is Run with the store read once: the stored facts of IDB
+// predicates and every extensional extent a rule body or registered
+// query goal can read — whole, and constant-filtered where the streaming
+// executor pushes constants down — load under one store read lock, and
+// cut (when non-nil) runs under that lock after them. A caller that
+// queues changelog events can cut its queue there: the events queued
+// before cut are exactly the ones the run reflects. Objects are still
+// read lazily. An engine that ran this way can be maintained with Apply.
+func (e *Engine) RunAt(cut func()) error {
+	e.runOnce.Do(func() {
+		*e.ran = true
+		e.runErr = e.runGuarded(func() error {
+			e.snapshotEDB()
+			e.st.ReadTogether(func(r store.Reader) {
+				e.src = r
+				e.seedEDB()
+				e.loadBase()
+				e.loadExtents()
+				e.src = e.st
+				if cut != nil {
+					cut()
+				}
+			})
+			e.together = true
+			return e.runStrata()
+		})
+	})
+	return e.runErr
 }
 
 // runGuarded wraps a fixpoint computation (full or incremental) with the
 // shared run scaffolding: the solver budget that carries MaxSolverSteps
-// and cancellation into constraint filters, the EDB snapshot, and the
-// stats/profile finalizers.
+// and cancellation into constraint filters, and the stats/profile
+// finalizers.
 func (e *Engine) runGuarded(body func() error) error {
 	e.budget = constraint.NewBudget(e.maxSolverSteps, e.checkCancel)
 	start := time.Now()
@@ -394,7 +492,6 @@ func (e *Engine) runGuarded(body func() error) error {
 	if err := e.checkCancel(); err != nil {
 		return err
 	}
-	e.snapshotEDB()
 	return body()
 }
 
@@ -522,10 +619,10 @@ func (e *Engine) snapshotEDB() {
 // dedup sets are pre-sized from the store's fact counts.
 func (e *Engine) seedEDB() {
 	for pred, rel := range e.derived {
-		if n := e.st.FactCount(pred); n > 0 {
+		if n := e.src.FactCount(pred); n > 0 {
 			rel.keys.presize(n)
 		}
-		for _, f := range e.st.Facts(pred) {
+		for _, f := range e.src.Facts(pred) {
 			rel.propose(append(row(nil), f.Args...))
 		}
 		rel.advance()
@@ -607,7 +704,7 @@ func (e *Engine) edbRelation(pred string) *relation {
 	if rel, ok := e.edbCache[pred]; ok {
 		return rel
 	}
-	facts := e.st.Facts(pred)
+	facts := e.src.Facts(pred)
 	rel := newRelation(e.in)
 	rel.rows = make([]row, len(facts))
 	if rel.interned() {
@@ -705,8 +802,12 @@ func (e *Engine) evalRule(ruleIdx, deltaPos int) error {
 	}
 	steps, ok := cr.plans[deltaPos]
 	if !ok {
-		// Unplanned delta position (defensive; deltaPositionsIn should have
-		// covered it). Compile locally without mutating the shared plan map.
+		steps, ok = e.incPlans[planKey{ruleIdx, deltaPos}]
+	}
+	if !ok {
+		// Unplanned delta position (deltaPositionsIn and the incremental
+		// plans cover every one a run takes when the plan cache is on).
+		// Compile locally without mutating the shared plan map.
 		var err error
 		steps, err = e.compilePlan(cr, cr.rule, deltaPos)
 		if err != nil {

@@ -1,32 +1,39 @@
 package datalog
 
 import (
+	"context"
 	"fmt"
 
 	"videodb/internal/object"
+	"videodb/internal/store"
 )
 
-// Incremental maintenance: given the extension a previous run computed
-// and a net batch of extensional fact changes, RunIncremental brings the
-// engine's relations to the fixpoint of the mutated database without
-// recomputing from scratch.
+// Incremental maintenance brings an engine's relations from the fixpoint
+// of one database to the fixpoint after a net batch of extensional fact
+// changes, without recomputing from scratch. Apply does it in place on
+// an engine that has already run; RunIncremental does it on a fresh
+// engine seeded with a previous run's extension. Both run one body:
 //
+//   - Deletions use delete-and-rederive (DRed). An over-deletion pass
+//     marks every tuple with a derivation through a deleted fact
+//     (evaluating rule bodies with the deletion delta in each position,
+//     against the pre-batch extents). The marked tuples are removed in
+//     place — swap-removal with key-set and join-index upkeep, no copy.
+//     Then only they are re-proved: each rule runs a plan led by its
+//     head's over-deleted tuples, against the reduced database, and a
+//     tuple still stored as a fact comes back directly. Rederived tuples
+//     propagate like insertions.
 //   - Insertions propagate semi-naively: the inserted facts form the
 //     first delta, and the standard rounds (reusing the compiled plans
 //     and the join kernel, parallel when configured) run to fixpoint.
-//   - Deletions use delete-and-rederive (DRed): an over-deletion pass
-//     marks every tuple with a derivation through a deleted fact
-//     (evaluating rule bodies with the deletion delta in each position,
-//     against the *pre-batch* extents), the marked tuples are removed,
-//     and the affected predicates' rules re-run once against the reduced
-//     database to rederive tuples with surviving alternative support;
-//     anything rederived then propagates like an insertion.
 //
-// The method is restricted to programs this is sound for: positive
-// (negation-free) and non-constructive — exactly the monotone fragment
-// where the fixpoint is determined by the EDB and DRed's
-// over-delete/rederive theorem applies. Callers fall back to a full
-// recompute otherwise (core.DB.Materialize does this automatically).
+// The EDB caches move from the pre-batch to the post-batch state by the
+// batch itself, between the two. The method is restricted to programs
+// this is sound for: positive (negation-free) and non-constructive —
+// exactly the monotone fragment where the fixpoint is determined by the
+// EDB and DRed's over-delete/rederive theorem applies. Callers fall back
+// to a full recompute otherwise (core.DB.Materialize does this
+// automatically).
 
 // Extension is the materialized extension of a run's IDB predicates:
 // predicate name to tuples, in no particular order. The tuples are
@@ -35,9 +42,10 @@ type Extension map[string][][]object.Value
 
 // FactDelta maps predicate names to tuples of extensional facts added or
 // removed since the extension was computed. Deltas must be net: a fact
-// both added and removed since the prior run must appear in neither map,
-// and inserted facts must be present in (deleted facts absent from) the
-// store the engine reads.
+// both added and removed since must appear in neither map, an inserted
+// fact must be new and a deleted one present — relative to the facts the
+// engine last saw (for RunIncremental: the store it reads, minus the
+// inserts, plus the deletes).
 type FactDelta map[string][][]object.Value
 
 // SupportsIncremental reports whether the program is in the fragment
@@ -82,6 +90,10 @@ func (e *Engine) Extensions() Extension {
 // serve the maintained extension, and a second Run or RunIncremental on
 // the same engine is an error. On error (including cancellation) the
 // relations are left in an undefined state; discard the engine.
+//
+// It seeds prior, loads the extents the plans read from the store (the
+// post-batch state) and shifts the changed ones back by the batch, then
+// runs the same maintenance body as Apply.
 func (e *Engine) RunIncremental(prior Extension, ins, del FactDelta) error {
 	called := false
 	e.runOnce.Do(func() {
@@ -96,6 +108,73 @@ func (e *Engine) RunIncremental(prior Extension, ins, del FactDelta) error {
 }
 
 func (e *Engine) runIncremental(prior Extension, ins, del FactDelta) error {
+	if err := e.maintainable(); err != nil {
+		return err
+	}
+	e.snapshotEDB()
+	// Re-materialize the prior extension (it already contains the seeded
+	// extensional facts of IDB predicates). Tuples are shared with the
+	// prior run, not copied: relations never mutate a tuple in place, so
+	// aliasing is safe.
+	for pred, rel := range e.derived {
+		for _, t := range prior[pred] {
+			rel.seed(row(t))
+		}
+	}
+	e.st.ReadTogether(func(r store.Reader) {
+		e.src = r
+		e.loadBase()
+		e.loadExtents()
+		e.src = e.st
+	})
+	e.together = true
+	insRows, delRows := deltaRows(ins), deltaRows(del)
+	e.shiftEDB(delRows, insRows) // back to the database prior was computed from
+	_, _, err := e.applyBatch(insRows, delRows)
+	return err
+}
+
+// Apply maintains an engine that has already run in place: it brings the
+// relations from the fixpoint over the facts the engine last saw to the
+// fixpoint after the net fact changes (ins, del), and returns the net
+// change of every IDB predicate — plus holds the tuples that entered,
+// minus those that left. The engine must have run with RunAt (or
+// RunIncremental), so its EDB caches hold every extent its plans read;
+// Apply brings them to the post-batch state from the batch itself and
+// never reads the store's facts, so it cannot tear against concurrent
+// writers. Deltas must be net against that state (see FactDelta).
+//
+// ctx bounds this call (nil: no cancellation). Apply must not run
+// concurrently with any other call on the engine. On error the
+// relations are undefined and further Apply calls fail: discard the
+// engine. Stats afterwards describe this call's work.
+func (e *Engine) Apply(ctx context.Context, ins, del FactDelta) (plus, minus Extension, err error) {
+	switch {
+	case !*e.ran || e.runErr != nil:
+		return nil, nil, fmt.Errorf("datalog: Apply needs an engine whose run succeeded")
+	case !e.together:
+		return nil, nil, fmt.Errorf("datalog: Apply needs an engine whose extents loaded together (RunAt), and none failed an Apply since")
+	}
+	if err := e.maintainable(); err != nil {
+		return nil, nil, err
+	}
+	e.ctx = ctx
+	e.stats = RunStats{}
+	err = e.runGuarded(func() error {
+		var err error
+		plus, minus, err = e.applyBatch(deltaRows(ins), deltaRows(del))
+		return err
+	})
+	if err != nil {
+		e.together = false
+		return nil, nil, err
+	}
+	return plus, minus, nil
+}
+
+// maintainable reports why the engine cannot be maintained
+// incrementally, if it cannot.
+func (e *Engine) maintainable() error {
 	switch {
 	case e.trace:
 		return fmt.Errorf("datalog: incremental maintenance does not record provenance (use a fresh traced run)")
@@ -104,105 +183,87 @@ func (e *Engine) runIncremental(prior Extension, ins, del FactDelta) error {
 	case !e.prog.SupportsIncremental():
 		return fmt.Errorf("datalog: program is outside the incrementally maintainable fragment (negation or constructive rules)")
 	}
+	return nil
+}
 
-	// Re-materialize the prior extension (it already contains the seeded
-	// extensional facts of IDB predicates, so seedEDB is not rerun; fact
-	// changes on IDB predicates arrive through ins/del instead). Tuples
-	// are shared with the prior run, not copied: relations never mutate
-	// a tuple in place, so aliasing is safe.
-	for pred, rel := range e.derived {
-		for _, t := range prior[pred] {
-			rel.seed(row(t))
-		}
-	}
+// planKey names a plan incremental maintenance adds to a compiled rule.
+type planKey struct{ rule, delta int }
 
-	insRows := deltaRows(ins)
-	delRows := deltaRows(del)
+// applyBatch is the one DRed body behind Apply and RunIncremental. On
+// entry the relations hold the fixpoint over the pre-batch facts, and the
+// EDB caches and base sets hold the pre-batch state.
+func (e *Engine) applyBatch(insRows, delRows map[string][]row) (plus, minus Extension, err error) {
+	e.compileIncPlans()
 
-	// Pin the *pre-batch* extents of changed extensional predicates into
-	// the EDB cache: over-deletion joins must run against the database
-	// the prior extension was computed from. Pre-batch = store minus net
-	// inserts plus net deletes.
-	changedEDB := make(map[string]bool)
-	for pred := range insRows {
-		if !e.idb[pred] {
-			changedEDB[pred] = true
-		}
-	}
-	for pred := range delRows {
-		if !e.idb[pred] {
-			changedEDB[pred] = true
-		}
-	}
-	for pred := range changedEDB {
-		skip := newKeySet(e.in, len(insRows[pred]))
-		for _, t := range insRows[pred] {
-			skip.add(t)
-		}
-		old := newRelation(e.in)
-		for _, t := range e.edbRelation(pred).rows {
-			if !skip.has(t) {
-				old.rows = append(old.rows, t)
-			}
-		}
-		old.rows = append(old.rows, delRows[pred]...)
-		e.edbCache[pred] = old
-	}
-
-	// Phase 1: DRed over-deletion (serial; the delSet bookkeeping is not
-	// worker-safe and deletion deltas are small by construction).
+	// Phase 1: DRed over-deletion against the pre-batch state (serial; the
+	// delSet bookkeeping is not worker-safe and deletion deltas are small
+	// by construction).
 	deleted, err := e.overDelete(delRows)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 
-	// Apply the over-deletion, and drop the pinned pre-batch extents so
-	// every later join reads the post-batch store.
-	for pred, dels := range deleted {
-		if dels.len() == 0 {
-			continue
-		}
+	// Phase 2: remove the over-deleted tuples in place, keeping the
+	// relation's own rows and ids: they are the rederivation candidates.
+	// Everything after this only appends, so rows[kept:] is what the rest
+	// of the batch adds.
+	removed := make(map[string][]row, len(e.delTuples))
+	removedIDs := make(map[string][][]uint64, len(e.delTuples))
+	for pred, ts := range e.delTuples {
 		rel := e.derived[pred]
-		kept := make([]row, 0, len(rel.rows)-dels.len())
-		var keptVids [][]uint64
-		withVids := len(rel.vids) == len(rel.rows) && rel.interned()
-		if withVids {
-			keptVids = make([][]uint64, 0, cap(kept))
+		for _, t := range ts {
+			own, ids := rel.removeRow(t)
+			if own == nil {
+				continue
+			}
+			removed[pred] = append(removed[pred], own)
+			if ids != nil {
+				removedIDs[pred] = append(removedIDs[pred], ids)
+			}
 		}
-		for i, t := range rel.rows {
-			if !dels.has(t) {
-				kept = append(kept, t)
-				if withVids {
-					keptVids = append(keptVids, rel.vids[i])
+	}
+	e.delSet, e.delTuples = nil, nil
+	kept := make(map[string]int, len(e.derived))
+	for pred, rel := range e.derived {
+		kept[pred] = len(rel.rows)
+	}
+
+	// The EDB caches and stored IDB facts move to the post-batch state;
+	// every later join reads it.
+	e.shiftEDB(insRows, delRows)
+
+	// Phase 3: rederive. Each over-deleted tuple is re-proved against the
+	// reduced extents: a rule whose head lost tuples runs its rederivation
+	// plan, led by those tuples (read as the head relation's delta), and a
+	// tuple still stored as a fact comes back directly. Rederived tuples
+	// become deltas at the next round boundary and propagate like
+	// insertions.
+	for pred, ts := range removed {
+		rel := e.derived[pred]
+		rel.delta, rel.deltaVids = ts, nil
+		if len(removedIDs[pred]) == len(ts) {
+			rel.deltaVids = removedIDs[pred]
+		}
+	}
+	for ri, r := range e.prog.Rules {
+		if len(removed[r.Head.Pred]) > 0 {
+			if err := e.evalRule(ri, rederivePos); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	for pred, ts := range removed {
+		if b := e.base[pred]; b != nil {
+			rel := e.derived[pred]
+			for _, t := range ts {
+				if b.has(t) {
+					rel.propose(t)
 				}
 			}
 		}
-		rel.rows, rel.vids = kept, keptVids
-		for _, t := range e.delTuples[pred] {
-			rel.keys.remove(t)
-		}
-		rel.delta, rel.deltaVids = nil, nil
-		rel.next, rel.nextVids = nil, nil
-		rel.idx = nil // row indexes shifted; rebuild lazily
-	}
-	for pred := range changedEDB {
-		delete(e.edbCache, pred)
-		delete(e.edbKeys, pred)
 	}
 
-	// Phase 2: rederive. Rules whose head lost tuples re-run once against
-	// the reduced extents (and the post-batch EDB); tuples with surviving
-	// alternative derivations are re-proposed and, at the next round
-	// boundary, become deltas that propagate like insertions.
-	for ri, r := range e.prog.Rules {
-		if dels := deleted[r.Head.Pred]; dels != nil && dels.len() > 0 {
-			if err := e.evalRule(ri, -1); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Phase 3: insertion propagation. Inserted facts on IDB predicates
+	// Phase 4: insertion propagation. Inserted facts on IDB predicates
 	// join the proposals; inserted facts on extensional predicates form
 	// one EDB delta round. From there the standard semi-naive rounds run
 	// to fixpoint (parallel when configured).
@@ -238,14 +299,13 @@ func (e *Engine) runIncremental(prior Extension, ins, del FactDelta) error {
 			}
 		}
 	}
-	if len(round1) == 0 {
-		e.edbDelta = nil
-		return nil
+	changed := false
+	if len(round1) > 0 {
+		changed, err = e.runRound(round1, 0, false)
 	}
-	changed, err := e.runRound(round1, 0, false)
 	e.edbDelta = nil
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	for changed {
 		var tasks []evalTask
@@ -254,12 +314,178 @@ func (e *Engine) runIncremental(prior Extension, ins, del FactDelta) error {
 				tasks = append(tasks, evalTask{ruleIdx: ri, delta: p})
 			}
 		}
-		changed, err = e.runRound(tasks, 0, true)
-		if err != nil {
-			return err
+		if changed, err = e.runRound(tasks, 0, true); err != nil {
+			return nil, nil, err
 		}
 	}
-	return nil
+
+	// The net change: appended tuples that were not over-deleted entered;
+	// removed tuples that did not come back left.
+	plus, minus = make(Extension), make(Extension)
+	for pred, rel := range e.derived {
+		dels := deleted[pred]
+		for _, t := range rel.rows[kept[pred]:] {
+			if dels == nil || !dels.has(t) {
+				plus[pred] = append(plus[pred], t)
+			}
+		}
+		for _, t := range removed[pred] {
+			if !rel.keys.has(t) {
+				minus[pred] = append(minus[pred], t)
+			}
+		}
+	}
+	return plus, minus, nil
+}
+
+// compileIncPlans compiles, once per engine, the plans maintenance adds
+// to the compiled rules: each extensional body position taking a delta
+// (compiled plans cover the IDB ones), and each rule's rederivation plan.
+// They live on the engine, not the shared compiled rules, and are
+// complete before any worker reads them. A rule that failed to compile
+// keeps no plan here, so evalRule surfaces its error.
+func (e *Engine) compileIncPlans() {
+	if e.incPlans != nil {
+		return
+	}
+	e.incPlans = make(map[planKey][]planStep)
+	for ri, r := range e.prog.Rules {
+		cr := e.compiled[ri]
+		if cr == nil {
+			continue
+		}
+		positions := []int{rederivePos}
+		for pos, l := range r.Body {
+			if a, ok := l.(RelAtom); ok && !e.idb[a.Pred] {
+				positions = append(positions, pos)
+			}
+		}
+		for _, pos := range positions {
+			if _, ok := cr.plans[pos]; ok {
+				continue
+			}
+			if steps, err := e.compilePlan(cr, r, pos); err == nil {
+				e.incPlans[planKey{ri, pos}] = steps
+			}
+		}
+	}
+}
+
+// loadExtents loads every extensional extent a run can read: the whole
+// relation of each extensional predicate a rule body (negated included)
+// or registered goal mentions — what warmEDBCaches loads — and, for the
+// streaming executor, each constant-filtered scan it pushes down,
+// recorded in edbScans so maintenance reaches it. Runs before any
+// evaluation, so nothing is cached yet.
+func (e *Engine) loadExtents() {
+	e.warmEDBCaches()
+	if !e.streaming {
+		return
+	}
+	for _, r := range e.prog.Rules {
+		for _, l := range r.Body {
+			a, ok := l.(RelAtom)
+			if !ok || e.idb[a.Pred] {
+				continue
+			}
+			sig, binds := constScan(a)
+			if sig == "" {
+				continue
+			}
+			if _, ok := e.edbCache[sig]; ok {
+				continue
+			}
+			if e.edbScans == nil {
+				e.edbScans = make(map[string][]edbScan)
+			}
+			rel := e.scanFiltered(a.Pred, sig, binds)
+			e.edbScans[a.Pred] = append(e.edbScans[a.Pred], edbScan{rel: rel, binds: binds})
+		}
+	}
+}
+
+// edbScan is one constant-filtered EDB cache: the relation and the
+// bindings its facts match.
+type edbScan struct {
+	rel   *relation
+	binds []store.ArgBind
+}
+
+// loadBase records the stored facts of each IDB predicate that has any:
+// DRed rederives an over-deleted tuple that is still a stored fact.
+func (e *Engine) loadBase() {
+	for pred := range e.derived {
+		if e.src.FactCount(pred) == 0 {
+			continue
+		}
+		facts := e.src.Facts(pred)
+		set := newKeySet(e.in, len(facts))
+		for _, f := range facts {
+			set.add(row(f.Args))
+		}
+		if e.base == nil {
+			e.base = make(map[string]*keySet)
+		}
+		e.base[pred] = &set
+	}
+}
+
+// shiftEDB moves the EDB caches and the stored IDB facts by one batch:
+// the rows of drop leave, the rows of add enter, in place. Apply shifts
+// forward to the post-batch state; RunIncremental first shifts its
+// post-batch load backward to pin the pre-batch state.
+func (e *Engine) shiftEDB(add, drop map[string][]row) {
+	shift := func(pred string, add, drop []row) {
+		if e.idb[pred] {
+			b := e.base[pred]
+			for _, t := range drop {
+				if b != nil {
+					b.remove(t)
+				}
+			}
+			for _, t := range add {
+				if b == nil {
+					ns := newKeySet(e.in, len(add))
+					b = &ns
+					if e.base == nil {
+						e.base = make(map[string]*keySet)
+					}
+					e.base[pred] = b
+				}
+				b.add(t)
+			}
+			return
+		}
+		if rel, ok := e.edbCache[pred]; ok {
+			for _, t := range drop {
+				rel.removeRow(t)
+			}
+			for _, t := range add {
+				rel.appendRow(t, nil)
+			}
+		}
+		for _, sc := range e.edbScans[pred] {
+			for _, t := range drop {
+				if (store.Fact{Args: t}).Matches(sc.binds) {
+					sc.rel.removeRow(t)
+				}
+			}
+			for _, t := range add {
+				if (store.Fact{Args: t}).Matches(sc.binds) {
+					sc.rel.appendRow(t, nil)
+				}
+			}
+		}
+		delete(e.edbKeys, pred)
+	}
+	for pred, rows := range drop {
+		shift(pred, add[pred], rows)
+	}
+	for pred, rows := range add {
+		if _, done := drop[pred]; !done {
+			shift(pred, rows, nil)
+		}
+	}
 }
 
 // overDelete runs the DRed over-deletion pass: starting from the deleted

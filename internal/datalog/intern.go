@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -169,6 +170,10 @@ func valueID(v object.Value) uint64 {
 		}
 		in.next++
 		id := in.next
+		// The key outlives the value: copy its string, which may be a
+		// slice of a whole parsed script that would otherwise stay pinned
+		// for the epoch (one per new oid under streaming ingest).
+		k.str = strings.Clone(k.str)
 		in.overS[k] = id
 		in.maybePromote()
 		return id

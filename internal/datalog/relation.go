@@ -36,31 +36,35 @@ type rowID [4]uint64
 // keySet is a membership set of tuples. Interned (streaming) sets key
 // rows of arity ≤ 4 by their padded value-id array and longer rows by the
 // pair-interner fold; string sets render the row (the materializing
-// ablation keeps the seed evaluator's allocation profile).
+// ablation keeps the seed evaluator's allocation profile). Each entry
+// carries an int: a relation's key set stores the tuple's index in its
+// rows, so an in-place removal finds the row without scanning; other
+// sets store 0. (An int value costs nothing over a bool: map slots are
+// padded to the key's alignment.)
 type keySet struct {
 	in   *pairInterner
-	arr  map[rowID]bool
-	ids  map[uint64]bool // fold keys of rows with arity > 4
-	strs map[string]bool
+	arr  map[rowID]int
+	ids  map[uint64]int // fold keys of rows with arity > 4
+	strs map[string]int
 }
 
 func newKeySet(in *pairInterner, n int) keySet {
 	if in != nil {
-		return keySet{in: in, arr: make(map[rowID]bool, n)}
+		return keySet{in: in, arr: make(map[rowID]int, n)}
 	}
-	return keySet{strs: make(map[string]bool, n)}
+	return keySet{strs: make(map[string]int, n)}
 }
 
 // presize replaces an empty set's map with one sized for n entries.
 func (s *keySet) presize(n int) {
 	if s.in != nil {
 		if len(s.arr) == 0 && n > 0 {
-			s.arr = make(map[rowID]bool, n)
+			s.arr = make(map[rowID]int, n)
 		}
 		return
 	}
 	if len(s.strs) == 0 && n > 0 {
-		s.strs = make(map[string]bool, n)
+		s.strs = make(map[string]int, n)
 	}
 }
 
@@ -88,41 +92,80 @@ func arrKeyIDs(ids []uint64) (rowID, bool) {
 }
 
 // add inserts the tuple, reporting whether it was new.
-func (s *keySet) add(t row) bool {
+func (s *keySet) add(t row) bool { return s.addAt(t, 0) }
+
+// addAt inserts the tuple with its row index, reporting whether it was
+// new (an existing entry keeps its index).
+func (s *keySet) addAt(t row, pos int) bool {
 	if s.in != nil {
 		if k, ok := arrKey(t); ok {
-			if s.arr[k] {
+			if _, dup := s.arr[k]; dup {
 				return false
 			}
-			s.arr[k] = true
+			s.arr[k] = pos
 			return true
 		}
 		k := s.in.rowKey64(t)
-		if s.ids[k] {
+		if _, dup := s.ids[k]; dup {
 			return false
 		}
 		if s.ids == nil {
-			s.ids = make(map[uint64]bool)
+			s.ids = make(map[uint64]int)
 		}
-		s.ids[k] = true
+		s.ids[k] = pos
 		return true
 	}
 	k := rowKey(t)
-	if s.strs[k] {
+	if _, dup := s.strs[k]; dup {
 		return false
 	}
-	s.strs[k] = true
+	s.strs[k] = pos
 	return true
 }
 
 func (s *keySet) has(t row) bool {
+	_, ok := s.pos(t)
+	return ok
+}
+
+// pos returns the int stored with the tuple.
+func (s *keySet) pos(t row) (int, bool) {
+	var i int
+	var ok bool
+	if s.in != nil {
+		if k, isArr := arrKey(t); isArr {
+			i, ok = s.arr[k]
+		} else {
+			i, ok = s.ids[s.in.rowKey64(t)]
+		}
+	} else {
+		i, ok = s.strs[rowKey(t)]
+	}
+	return i, ok
+}
+
+// setPos overwrites the int stored with a present tuple.
+func (s *keySet) setPos(t row, pos int) {
 	if s.in != nil {
 		if k, ok := arrKey(t); ok {
-			return s.arr[k]
+			s.arr[k] = pos
+		} else {
+			s.ids[s.in.rowKey64(t)] = pos
 		}
-		return s.ids[s.in.rowKey64(t)]
+		return
 	}
-	return s.strs[rowKey(t)]
+	s.strs[rowKey(t)] = pos
+}
+
+// posIDs is pos for a tuple whose value ids are already in hand
+// (interned mode only).
+func (s *keySet) posIDs(ids []uint64) (int, bool) {
+	if k, ok := arrKeyIDs(ids); ok {
+		i, has := s.arr[k]
+		return i, has
+	}
+	i, has := s.ids[s.in.foldIDs(ids)]
+	return i, has
 }
 
 // hasIDs answers membership for a tuple whose value ids are already in
@@ -130,21 +173,24 @@ func (s *keySet) has(t row) bool {
 // streaming head path).
 func (s *keySet) hasIDs(ids []uint64) bool {
 	if k, ok := arrKeyIDs(ids); ok {
-		return s.arr[k]
+		_, has := s.arr[k]
+		return has
 	}
-	return s.ids[s.in.foldIDs(ids)]
+	_, has := s.ids[s.in.foldIDs(ids)]
+	return has
 }
 
-// addIDs inserts a tuple by its value ids (interned mode only).
-func (s *keySet) addIDs(ids []uint64) {
+// addIDsAt inserts a tuple by its value ids with its row index (interned
+// mode only).
+func (s *keySet) addIDsAt(ids []uint64, pos int) {
 	if k, ok := arrKeyIDs(ids); ok {
-		s.arr[k] = true
+		s.arr[k] = pos
 		return
 	}
 	if s.ids == nil {
-		s.ids = make(map[uint64]bool)
+		s.ids = make(map[uint64]int)
 	}
-	s.ids[s.in.foldIDs(ids)] = true
+	s.ids[s.in.foldIDs(ids)] = pos
 }
 
 func (s *keySet) remove(t row) {
@@ -176,6 +222,12 @@ type relation struct {
 	keys  keySet
 	delta []row
 	next  []row
+
+	// located says keys holds every row with its index in rows. Derived
+	// relations keep it from the start (the index is free: a proposed
+	// tuple's index is known when it is proposed); EDB caches build it on
+	// their first in-place removal (see locate).
+	located bool
 
 	// Interned mode: per-row value ids, aligned with rows/delta/next.
 	// Computed once when a tuple enters the relation, so index building
@@ -302,7 +354,7 @@ func (r *relation) extendIndex(pos int) *posIndex {
 // already-proposed tuples are ignored. It reports whether the tuple was
 // new.
 func (r *relation) propose(t row) bool {
-	if !r.keys.add(t) {
+	if !r.keys.addAt(t, len(r.rows)+len(r.next)) {
 		return false
 	}
 	r.next = append(r.next, t)
@@ -327,7 +379,7 @@ const (
 // admitting a new tuple costs amortized zero allocations. The caller has
 // already established the tuple is new (hasIDs).
 func (r *relation) proposeIDs(s row, sids []uint64) {
-	r.keys.addIDs(sids)
+	r.keys.addIDsAt(sids, len(r.rows)+len(r.next))
 	n := len(s)
 	if cap(r.valChunk)-len(r.valChunk) < n {
 		c := max(min(2*cap(r.valChunk), proposalChunk), proposalFirstChunk, n)
@@ -346,7 +398,7 @@ func (r *relation) proposeIDs(s row, sids []uint64) {
 // bookkeeping — incremental maintenance re-materializing the extension
 // of a prior run (see incremental.go).
 func (r *relation) seed(t row) {
-	if !r.keys.add(t) {
+	if !r.keys.addAt(t, len(r.rows)) {
 		return
 	}
 	r.rows = append(r.rows, t)
@@ -374,6 +426,158 @@ func (r *relation) advance() bool {
 		r.vids = append(r.vids, r.deltaVids...)
 	}
 	return len(r.delta) > 0
+}
+
+// locate makes keys hold every row with its index, building it once for
+// an EDB cache (derived relations maintain it all along).
+func (r *relation) locate() {
+	if r.located {
+		return
+	}
+	r.keys = newKeySet(r.keys.in, len(r.rows))
+	for i, t := range r.rows {
+		r.keys.addAt(t, i)
+	}
+	r.located = true
+}
+
+// exactRow returns the index of the row a fully bound step matches
+// (interned relations only), keying it by the frame's value ids.
+func (r *relation) exactRow(st *planStep, fr *frame) (int, bool) {
+	if cap(fr.probeIDs) < len(st.args) {
+		fr.probeIDs = make([]uint64, len(st.args))
+	}
+	ids := fr.probeIDs[:len(st.args)]
+	for k := range st.args {
+		ids[k] = st.probeID(fr, k)
+	}
+	i, ok := r.keys.posIDs(ids)
+	return i, ok && i < len(r.rows)
+}
+
+// appendRow adds a tuple to the extent in place: the row, its value ids,
+// and — once located — its key. Join indexes extend lazily.
+func (r *relation) appendRow(t row, ids []uint64) {
+	if r.located {
+		r.keys.addAt(t, len(r.rows))
+	}
+	r.rows = append(r.rows, t)
+	if r.interned() {
+		if ids == nil {
+			ids = vidsOf(t)
+		}
+		r.vids = append(r.vids, ids)
+	}
+}
+
+// removeRow deletes the tuple from the extent in place, returning the
+// relation's own row and ids (nil, nil when absent). The last row moves
+// into the freed slot, and the key set and every join index follow it,
+// so no slice is copied and no index is rebuilt.
+func (r *relation) removeRow(t row) (row, []uint64) {
+	r.locate()
+	i, ok := r.keys.pos(t)
+	if !ok || i >= len(r.rows) {
+		return nil, nil
+	}
+	withIDs := r.interned() && len(r.vids) == len(r.rows)
+	last := len(r.rows) - 1
+	own := r.rows[i]
+	var ownIDs []uint64
+	if withIDs {
+		ownIDs = r.vids[i]
+	}
+	for pos, pi := range r.idx {
+		if pi.covered < len(r.rows) {
+			r.extendIndex(pos)
+		}
+		pi.drop(r.indexKey(i, pos), i)
+		if i != last {
+			pi.move(r.indexKey(last, pos), last, i)
+		}
+	}
+	r.keys.remove(own)
+	if i != last {
+		r.rows[i] = r.rows[last]
+		r.keys.setPos(r.rows[i], i)
+		if withIDs {
+			r.vids[i] = r.vids[last]
+		}
+	}
+	r.rows[last] = nil
+	r.rows = r.rows[:last]
+	if withIDs {
+		r.vids[last] = nil
+		r.vids = r.vids[:last]
+	}
+	for _, pi := range r.idx {
+		pi.covered = len(r.rows)
+	}
+	return own, ownIDs
+}
+
+// indexKey is the join-index key of rows[i] at argument position pos,
+// exactly as extendIndex computes it.
+type indexKey struct {
+	id  uint64
+	str string
+}
+
+func (r *relation) indexKey(i, pos int) indexKey {
+	t := r.rows[i]
+	if pos >= len(t) {
+		return indexKey{}
+	}
+	if !r.interned() {
+		return indexKey{str: t[pos].String()}
+	}
+	if i < len(r.vids) && pos < len(r.vids[i]) {
+		return indexKey{id: r.vids[i][pos]}
+	}
+	return indexKey{id: valueID(t[pos])}
+}
+
+// drop removes row index i from the posting list of k.
+func (pi *posIndex) drop(k indexKey, i int) {
+	if pi.vals != nil {
+		if l := dropIndex(pi.vals[k.id], i); len(l) == 0 {
+			delete(pi.vals, k.id)
+		} else {
+			pi.vals[k.id] = l
+		}
+		return
+	}
+	if l := dropIndex(pi.valsS[k.str], i); len(l) == 0 {
+		delete(pi.valsS, k.str)
+	} else {
+		pi.valsS[k.str] = l
+	}
+}
+
+// move renames row index from to to in the posting list of k.
+func (pi *posIndex) move(k indexKey, from, to int) {
+	l := pi.valsS[k.str]
+	if pi.vals != nil {
+		l = pi.vals[k.id]
+	}
+	for j, x := range l {
+		if x == from {
+			l[j] = to
+			return
+		}
+	}
+}
+
+// dropIndex removes one occurrence of i from a posting list, moving the
+// list's last entry into its place; posting lists carry no order.
+func dropIndex(l []int, i int) []int {
+	for j, x := range l {
+		if x == i {
+			l[j] = l[len(l)-1]
+			return l[:len(l)-1]
+		}
+	}
+	return l
 }
 
 // sortRows returns a copy of rows in canonical (key) order. Keys are

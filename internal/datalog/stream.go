@@ -38,6 +38,7 @@ type opState struct {
 	rows   []row
 	vids   [][]uint64 // carried value ids, aligned with rows (may be nil)
 	ids    []int      // posting list when probing the join index
+	one    [1]int     // backing of a one-row exact lookup
 	useIDs bool
 	i      int
 
@@ -107,7 +108,16 @@ func (e *Engine) openOp(op *opState, fr *frame) {
 			rows, vids, rel = e.relAccessIDs(st.pred, st.useDelta)
 		}
 		op.rows, op.vids = rows, vids
-		if e.useJoinIndex && rel != nil && len(rows) >= 16 && len(probes) > 0 {
+		if st.exact && rel != nil {
+			// Rederivation probes one fully bound tuple: look it up by key
+			// (serial, so the cache may build its key positions here).
+			rel.locate()
+			op.ids = op.one[:0]
+			if i, ok := rel.exactRow(st, fr); ok {
+				op.ids = append(op.ids, i)
+			}
+			op.useIDs = true
+		} else if e.useJoinIndex && rel != nil && len(rows) >= 16 && len(probes) > 0 {
 			// Probe every bound position and scan the most selective
 			// (shortest) posting list.
 			var ids []int
@@ -238,8 +248,14 @@ func (e *Engine) edbFiltered(st *planStep) *relation {
 			binds = append(binds, store.ArgBind{Pos: k, Val: a.val})
 		}
 	}
+	return e.scanFiltered(st.pred, st.constSig, binds)
+}
+
+// scanFiltered scans the facts of pred matching binds into a relation
+// and, outside parallel workers, caches it under sig.
+func (e *Engine) scanFiltered(pred, sig string, binds []store.ArgBind) *relation {
 	rel := newRelation(e.in)
-	e.st.ScanFacts(st.pred, binds, func(f store.Fact) bool {
+	e.src.ScanFacts(pred, binds, func(f store.Fact) bool {
 		rel.rows = append(rel.rows, row(f.Args))
 		if rel.interned() {
 			rel.vids = append(rel.vids, vidsOf(row(f.Args)))
@@ -247,7 +263,7 @@ func (e *Engine) edbFiltered(st *planStep) *relation {
 		return true
 	})
 	if e.collect == nil {
-		e.edbCache[st.constSig] = rel
+		e.edbCache[sig] = rel
 	}
 	return rel
 }

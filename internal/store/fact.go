@@ -311,6 +311,10 @@ func (s *Store) DeleteFactErr(f Fact) (bool, error) {
 func (s *Store) Facts(name string) []Fact {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.factsLocked(name)
+}
+
+func (s *Store) factsLocked(name string) []Fact {
 	if s.backend != nil {
 		var out []Fact
 		s.backend.ScanFacts(name, nil, func(f Fact) bool {

@@ -23,6 +23,10 @@ type ArgBind struct {
 func (s *Store) ScanFacts(name string, binds []ArgBind, fn func(Fact) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	s.scanFactsLocked(name, binds, fn)
+}
+
+func (s *Store) scanFactsLocked(name string, binds []ArgBind, fn func(Fact) bool) {
 	if s.backend != nil {
 		s.backend.ScanFacts(name, binds, fn)
 		return
@@ -49,6 +53,10 @@ func (f Fact) Matches(binds []ArgBind) bool {
 func (s *Store) FactCount(name string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.factCountLocked(name)
+}
+
+func (s *Store) factCountLocked(name string) int {
 	if s.backend != nil {
 		return s.backend.FactCount(name)
 	}
@@ -83,3 +91,33 @@ func (s *Store) SchemaVersion() uint64 {
 	defer s.mu.RUnlock()
 	return s.schemaVer
 }
+
+// ReadTogether calls fn with a Reader, all under one read lock: every
+// read fn makes comes from one store state, with no acknowledged mutation
+// between them. Changelog subscribers run under the write lock, so an
+// event a subscriber queued before fn started is reflected in what fn
+// reads, and one it queues after fn returns is not — fn may itself take
+// the subscriber's queue lock to cut its queue at that point. fn must
+// read through r, never through the Store's own methods: a read lock
+// taken again behind a waiting writer deadlocks.
+func (s *Store) ReadTogether(fn func(r Reader)) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	//videolint:ignore lockcheck the callback is the point: its reads share this read lock, and it may only take locks ordered after the store's (a subscriber queue)
+	fn(Reader{s: s})
+}
+
+// Reader reads the store inside ReadTogether; its methods behave like
+// the Store's methods of the same name.
+type Reader struct{ s *Store }
+
+// ScanFacts is Store.ScanFacts under the enclosing ReadTogether's lock.
+func (r Reader) ScanFacts(name string, binds []ArgBind, fn func(Fact) bool) {
+	r.s.scanFactsLocked(name, binds, fn)
+}
+
+// Facts is Store.Facts under the enclosing ReadTogether's lock.
+func (r Reader) Facts(name string) []Fact { return r.s.factsLocked(name) }
+
+// FactCount is Store.FactCount under the enclosing ReadTogether's lock.
+func (r Reader) FactCount(name string) int { return r.s.factCountLocked(name) }

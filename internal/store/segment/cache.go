@@ -5,16 +5,39 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"videodb/internal/object"
 	"videodb/internal/store"
 )
 
-// decodedBlock is one fact block resident in the cache: the decoded
-// facts in key order with their canonical keys (for membership binary
-// search), and the cost charged against the cache budget.
+// decodedBlock is one fact block resident in the cache: the canonical
+// keys of its facts in key order (for membership binary search), and the
+// cost charged against the cache budget. The facts themselves decode on
+// first use — a scan or a compaction — from the block's raw records: a
+// membership probe (HasFact, which every delete makes) needs the keys
+// alone, and a decoded fact holds several times the memory of its key.
 type decodedBlock struct {
+	keys []string // sorted; parallel to facts
+	cost int64
+
+	once  sync.Once
+	rel   string
+	raw   []byte         // the block's records until facts decode
+	dict  []object.Value // the segment's dictionary
 	facts []store.Fact
-	keys  []string // sorted; parallel to facts
-	cost  int64
+	err   error
+}
+
+// decoded returns the block's facts, decoding them on first use. Safe
+// for the concurrent readers that share a cached block.
+func (b *decodedBlock) decoded() ([]store.Fact, error) {
+	b.once.Do(func() {
+		b.facts = make([]store.Fact, 0, len(b.keys))
+		b.err = eachRecord(b.raw, b.dict, func(args []object.Value) {
+			b.facts = append(b.facts, store.Fact{Name: b.rel, Args: append([]object.Value(nil), args...)})
+		})
+		b.raw = nil
+	})
+	return b.facts, b.err
 }
 
 // find returns the position of key in the block, or -1.

@@ -328,9 +328,10 @@ func (r *segmentReader) close() error {
 	return err
 }
 
-// readBlock fetches and decodes one block (cache miss path). The caller
+// readBlock fetches and decodes one block (cache miss path): its keys,
+// and its facts too when the caller is about to scan them. The caller
 // provides the relation via the block's meta entry.
-func (r *segmentReader) readBlock(i int) (*decodedBlock, error) {
+func (r *segmentReader) readBlock(i int, withFacts bool) (*decodedBlock, error) {
 	dict, err := r.loadDict()
 	if err != nil {
 		return nil, err
@@ -344,37 +345,59 @@ func (r *segmentReader) readBlock(i int) (*decodedBlock, error) {
 		return nil, fmt.Errorf("segment: %s block %d: checksum mismatch", r.path, i)
 	}
 	blk := &decodedBlock{
-		facts: make([]store.Fact, 0, bm.Count),
-		keys:  make([]string, 0, bm.Count),
-		cost:  int64(bm.Len),
+		keys: make([]string, 0, bm.Count),
+		cost: int64(bm.Len),
+		rel:  bm.Rel,
+		raw:  raw,
+		dict: dict,
 	}
-	for len(raw) > 0 {
-		arity, n := binary.Uvarint(raw)
-		if n <= 0 {
-			return nil, fmt.Errorf("segment: %s block %d: bad record", r.path, i)
-		}
-		raw = raw[n:]
-		args := make([]object.Value, arity)
-		for j := range args {
-			id, n := binary.Uvarint(raw)
-			if n <= 0 || id >= uint64(len(dict)) {
-				return nil, fmt.Errorf("segment: %s block %d: bad dictionary reference", r.path, i)
-			}
-			raw = raw[n:]
-			args[j] = dict[id]
-		}
+	err = eachRecord(raw, dict, func(args []object.Value) {
 		f := store.Fact{Name: bm.Rel, Args: args}
-		blk.facts = append(blk.facts, f)
-		blk.keys = append(blk.keys, f.Key())
+		key := f.Key()
+		blk.keys = append(blk.keys, key)
 		// Decoded cost dominates the on-disk size; count both the raw
 		// block and the rendered keys against the cache budget.
-		blk.cost += int64(len(blk.keys[len(blk.keys)-1]))
+		blk.cost += int64(len(key))
+		if withFacts {
+			f.Args = append([]object.Value(nil), args...)
+			blk.facts = append(blk.facts, f)
+		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("segment: %s block %d: %w", r.path, i, err)
 	}
-	if len(blk.facts) != bm.Count {
+	if withFacts {
+		blk.once.Do(func() { blk.raw = nil }) // decoded in this pass
+	}
+	if len(blk.keys) != bm.Count {
 		return nil, fmt.Errorf("segment: %s block %d: decoded %d facts, index says %d",
-			r.path, i, len(blk.facts), bm.Count)
+			r.path, i, len(blk.keys), bm.Count)
 	}
 	return blk, nil
+}
+
+// eachRecord decodes a block's records in order, calling fn with each
+// fact's arguments; the slice is reused between calls.
+func eachRecord(raw []byte, dict []object.Value, fn func(args []object.Value)) error {
+	var args []object.Value
+	for len(raw) > 0 {
+		arity, n := binary.Uvarint(raw)
+		if n <= 0 || arity > uint64(len(raw)) {
+			return fmt.Errorf("bad record")
+		}
+		raw = raw[n:]
+		args = args[:0]
+		for j := uint64(0); j < arity; j++ {
+			id, n := binary.Uvarint(raw)
+			if n <= 0 || id >= uint64(len(dict)) {
+				return fmt.Errorf("bad dictionary reference")
+			}
+			raw = raw[n:]
+			args = append(args, dict[id])
+		}
+		fn(args)
+	}
+	return nil
 }
 
 // loadDict reads and decodes the dictionary section once; concurrent

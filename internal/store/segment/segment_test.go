@@ -66,7 +66,7 @@ func TestSegmentFileRoundTrip(t *testing.T) {
 	}
 	var keys []string
 	for _, bi := range sr.byRel["in"] {
-		blk, err := sr.readBlock(bi)
+		blk, err := sr.readBlock(bi, false)
 		if err != nil {
 			t.Fatal(err)
 		}

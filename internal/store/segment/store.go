@@ -548,7 +548,7 @@ func (s *Store) segVisible(name, key string) bool {
 		if !ok {
 			continue
 		}
-		blk, err := s.block(si, bi)
+		blk, err := s.block(si, bi, false)
 		if err != nil {
 			s.noteReadErr(err)
 			continue
@@ -583,14 +583,15 @@ func findBlockFor(sr *segmentReader, blocks []int, key string) (int, bool) {
 	return blocks[lo], true
 }
 
-// block fetches one decoded block through the cache.
-func (s *Store) block(si, bi int) (*decodedBlock, error) {
+// block fetches one decoded block through the cache; withFacts decodes
+// a missing block's facts in the same pass (the caller scans them).
+func (s *Store) block(si, bi int, withFacts bool) (*decodedBlock, error) {
 	sr := s.segs[si]
 	k := blockKey{seg: sr.id, block: bi}
 	if blk, ok := s.cache.get(k); ok {
 		return blk, nil
 	}
-	blk, err := sr.readBlock(bi)
+	blk, err := sr.readBlock(bi, withFacts)
 	if err != nil {
 		return nil, err
 	}
@@ -615,12 +616,17 @@ func (s *Store) ScanFacts(name string, binds []store.ArgBind, fn func(store.Fact
 	dels := s.mem.dels[name]
 	for si, sr := range s.segs {
 		for _, bi := range sr.byRel[name] {
-			blk, err := s.block(si, bi)
+			blk, err := s.block(si, bi, true)
 			if err != nil {
 				s.noteReadErr(err)
 				continue
 			}
-			for j, f := range blk.facts {
+			decoded, err := blk.decoded()
+			if err != nil {
+				s.noteReadErr(err)
+				continue
+			}
+			for j, f := range decoded {
 				key := blk.keys[j]
 				if h != nil {
 					if pos, ok := h[key]; ok && pos > si {
@@ -842,11 +848,15 @@ func (s *Store) compactLocked() error {
 		var facts []store.Fact
 		for si, sr := range s.segs {
 			for _, bi := range sr.byRel[rel] {
-				blk, err := s.block(si, bi)
+				blk, err := s.block(si, bi, true)
 				if err != nil {
 					return fmt.Errorf("segment: compaction read: %w", err)
 				}
-				for j, f := range blk.facts {
+				decoded, err := blk.decoded()
+				if err != nil {
+					return fmt.Errorf("segment: compaction read: %w", err)
+				}
+				for j, f := range decoded {
 					if h != nil {
 						if pos, ok := h[blk.keys[j]]; ok && pos > si {
 							continue
