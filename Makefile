@@ -54,26 +54,29 @@ test-stream:
 	$(GO) test -run 'TestSubscri|TestSSE|TestWebhook|TestServerClose|TestStatusWriter' ./internal/core/ ./internal/server/ ./internal/store/
 	$(GO) test -run 'TestStreamingSubscriptionE2E' ./internal/integration/
 
-# race exercises the parallel evaluator, the shared EDB caches, the
-# constraint solver's shared step budget, the store write path (backend write-failure injection, range-index readers,
+# race runs under the race detector every caller the engine's remaining
+# locks serve (concurrent Query after Run, Stats/Profile during Run, the
+# shared value interner), the constraint solver's step budget, the store
+# write path (backend write-failure injection, range-index readers,
 # changelog), the segment backend (crash injection, mem/segment
-# equivalence), the materialized-view oracle, the goal-specialization oracle
-# (internal/core/specialize_oracle_test.go: Parallel(4) engines,
-# concurrent readers on the plan cache), and the server's observability
-# counters under the race detector.
+# equivalence, the block cache), the materialized-view and subscription
+# oracles, the goal-specialization oracle (concurrent readers on the plan
+# cache), and the server's observability counters.
 race:
 	$(GO) test -race ./internal/constraint/... ./internal/datalog/... ./internal/store/... ./internal/core/... ./internal/server/...
 
 # fuzz-smoke runs every native fuzz target (the VideoQL parser, the
 # interval notation parser, the static analyzer, the snapshot decoder,
-# the value JSON encoder) for 5s each; go test -fuzz takes one target
-# per invocation.
+# the value JSON encoder, the segment block-record decoder and tail-log
+# replay) for 5s each; go test -fuzz takes one target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/interval
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime 5s ./internal/datalog/analyze
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzValueJSON$$' -fuzztime 5s ./internal/object
+	$(GO) test -run '^$$' -fuzz '^FuzzEachRecord$$' -fuzztime 5s ./internal/store/segment
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayTail$$' -fuzztime 5s ./internal/store/segment
 
 # bench reproduces the paper experiments E1–E15 (the root bench_test.go;
 # EXPERIMENTS.md records a reference run).

@@ -1,4 +1,4 @@
-// Package videodb_bench holds the reproduction experiments E1–E15 (see
+// Package videodb_bench holds the reproduction experiments E1–E11 and E13–E15 (see
 // DESIGN.md §2 for the experiment index and EXPERIMENTS.md for a
 // reference run compared with the paper). One benchmark family per
 // figure, claim or design decision; run them with
@@ -14,7 +14,6 @@ package videodb_bench
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"videodb/internal/constraint"
@@ -491,28 +490,6 @@ object o2 { name: "Philip" }.
 			for i := 0; i < b.N; i++ {
 				mustQuery(b, c.db, q)
 			}
-		})
-	}
-}
-
-// --- E12: parallel rule evaluation (design decision) -----------------------------------
-
-// BenchmarkE12ParallelEvaluation sweeps the worker count over twelve
-// independent 3-way joins. A wall-clock gain needs as many CPUs as
-// workers; cpus records how many the host had.
-func BenchmarkE12ParallelEvaluation(b *testing.B) {
-	st := edgeStore(300, 7)
-	var rules []datalog.Rule
-	for k := 0; k < 12; k++ {
-		rules = append(rules, hop3Rule(fmt.Sprintf("tri%d", k)))
-	}
-	prog := datalog.NewProgram(rules...)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				runEngine(b, st, prog, datalog.Parallel(workers))
-			}
-			b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 		})
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"videodb/internal/datalog"
 	"videodb/internal/object"
 	"videodb/internal/store"
 	"videodb/internal/store/segment"
@@ -15,8 +14,7 @@ import (
 // backend at the query level: the same rule program over the same fact
 // churn must answer every query identically — through recursive rules,
 // materialized views (incremental maintenance reads the changelog,
-// which the backend feeds), parallel engine workers, and segment-side
-// restarts. Mirrors the PR 5/6 oracle style (rowsKey comparison).
+// which the backend feeds), and segment-side restarts. Mirrors the PR 5/6 oracle style (rowsKey comparison).
 
 // segCoreDB opens a segment-backed DB in dir with rules and views
 // installed; thresholds are tiny so the run crosses flushes and block
@@ -59,7 +57,6 @@ func TestBackendDifferentialOracle(t *testing.T) {
 		opts []Option
 	}{
 		{"serial", nil},
-		{"parallel", []Option{WithEngineOptions(datalog.Parallel(4))}},
 	}
 	goals := []string{"?- reach(X, Y)", "?- hop2(X, Z)", "?- edge(X, Y)"}
 	for _, variant := range variants {

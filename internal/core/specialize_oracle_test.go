@@ -158,7 +158,7 @@ func TestSpecializedGoalsMatchNaiveOracle(t *testing.T) {
 	}
 	for seed := int64(0); seed < 12; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			spec := oracleDB(t, WithEngineOptions(datalog.Parallel(4)))
+			spec := oracleDB(t)
 			twin := oracleDB(t, WithoutQueryPruning(), WithEngineOptions(datalog.Naive()))
 			r := rand.New(rand.NewSource(seed))
 			ents, ints := specOracleInstance(t, r, spec, twin)

@@ -179,7 +179,9 @@ type Subscription struct {
 	// Pump-private maintenance state. eng is the retained engine: its goal
 	// relation is the answer set (nil until the first run, and after a
 	// failed Apply). visible is a windowed subscription's last emitted
-	// answer, in answer order.
+	// answer, in answer order. slice is first built by SubscribeQuery,
+	// before the pump starts.
+	slice       standingSlice
 	eng         *datalog.Engine
 	tainted     bool
 	incremental bool
@@ -336,7 +338,7 @@ func (db *DB) SubscribeQuery(rules []string, goal string, opts SubOptions) (*Sub
 
 	// Validate the assembled program now, so a bad goal or rule fails
 	// the subscribe call instead of killing the pump later.
-	prog, _ := db.subProgram(s)
+	prog, _ := db.slice(&s.slice, s.goal, s.rules)
 	if _, err := datalog.NewEngine(db.st, prog, db.engOpts...); err != nil {
 		cancel()
 		return nil, err
@@ -502,29 +504,6 @@ func (s *Subscription) enqueue(ev store.Event) {
 	}
 }
 
-// subProgram assembles the subscription's reachable rule slice (database
-// rules + taxonomy + subscription-local rules + the goal rule) and its
-// fingerprint, under the definition lock so pumps never race DefineRule.
-func (db *DB) subProgram(s *Subscription) (datalog.Program, string) {
-	db.defMu.RLock()
-	defer db.defMu.RUnlock()
-	rules := append([]datalog.Rule(nil), db.rules...)
-	rules = append(rules, db.taxonomy.Rules()...)
-	rules = append(rules, s.rules...)
-	if s.goal.Rule != nil {
-		rules = append(rules, *s.goal.Rule)
-	}
-	prog := datalog.NewProgram(rules...).Reachable(s.goal.Atom.Pred)
-	var fp strings.Builder
-	for _, r := range prog.Rules {
-		fp.WriteString(r.String())
-		fp.WriteByte('\n')
-	}
-	fp.WriteString("?- ")
-	fp.WriteString(s.goal.Atom.String())
-	return prog, fp.String()
-}
-
 // pump is the subscription's maintenance goroutine: wait for work,
 // respect the flush rate limit, flush.
 func (s *Subscription) pump() {
@@ -590,7 +569,7 @@ func (s *Subscription) flush() bool {
 	}
 	s.pruneStamps()
 
-	prog, fp := s.db.subProgram(s)
+	prog, fp := s.db.slice(&s.slice, s.goal, s.rules)
 	full := s.eng == nil || needReset || s.tainted || fp != s.fingerprint
 	s.tainted = false
 

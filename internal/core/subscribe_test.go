@@ -12,9 +12,9 @@ import (
 	"testing"
 	"time"
 
-	"videodb/internal/datalog"
 	"videodb/internal/interval"
 	"videodb/internal/object"
+	"videodb/internal/parser"
 )
 
 // subAccum replays a subscription's event stream into an answer set, the
@@ -500,8 +500,7 @@ func TestSubscribeWindowAging(t *testing.T) {
 // TestSubscribeDifferentialOracle is the acceptance-criteria oracle for
 // subscriptions: random mutation bursts from concurrent writers — edge
 // facts, and interval puts and deletes on the very oids the edges
-// reference — with the engine running serially and under Parallel(4),
-// on the backend VIDEODB_TEST_BACKEND names. Standing goals run side
+// reference — on the backend VIDEODB_TEST_BACKEND names. Standing goals run side
 // by side: object-free ones — all variables, a constant, a repeated
 // variable — which ignore the object events and are maintained in place,
 // and one whose attribute guard reads objects. At quiescence each
@@ -512,7 +511,6 @@ func TestSubscribeDifferentialOracle(t *testing.T) {
 		opts []Option
 	}{
 		{"serial", nil},
-		{"parallel", []Option{WithEngineOptions(datalog.Parallel(4))}},
 	}
 	goals := []string{"?- reach(X, Y)", "?- reach(n0, Y)", "?- reach(X, X)", "?- reach(X, Y), Y.n > 2"}
 	for _, variant := range variants {
@@ -631,6 +629,92 @@ func TestSubscribeRuleAndClassChange(t *testing.T) {
 	drainToOracle(t, db, sub, a, "?- reach(X, Y)", "after rule change")
 	if len(a.rows) != 3 {
 		t.Fatalf("accumulated %v, want 3 rows", a.key())
+	}
+}
+
+// A view and a subscription over the same goal keep their rule slice
+// until the definitions move, and recompute only when a change reaches
+// the goal: an unrelated rule leaves the slice alone, a reachable rule
+// or a class the goal reads through instance_of recomputes once. Each
+// step ends with an edge fact, which both must absorb.
+func TestStandingSliceRecomputes(t *testing.T) {
+	const goal = "?- reach(X, Y)"
+	db := closureDB(t)
+	defer db.Close()
+	if err := db.DefineRule(`reach(X, Y) :- edge(X, Y), instance_of(Y, "shot")`); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Relate("edge", "a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Materialize("v", goal); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := db.SubscribeQuery(nil, goal, SubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	a := newSubAccum()
+	drainToOracle(t, db, sub, a, goal, "initial")
+
+	// With the definitions unchanged the slice is reused, not rebuilt.
+	q, err := parser.ParseQuery(goal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c standingSlice
+	p1, _ := db.slice(&c, q, nil)
+	p2, _ := db.slice(&c, q, nil)
+	if &p1.Rules[0] != &p2.Rules[0] {
+		t.Fatal("slice rebuilt with the definitions unchanged")
+	}
+
+	viewRecomputes := func() uint64 {
+		for _, vi := range db.Views() {
+			if vi.Name == "v" {
+				return vi.Recomputes
+			}
+		}
+		t.Fatal("view v missing")
+		return 0
+	}
+	steps := []struct {
+		name   string
+		change func() error
+		want   uint64
+	}{
+		{"unrelated rule", func() error { return db.DefineRule("unrelated(X) :- likes(X, Y)") }, 0},
+		{"reachable rule", func() error { return db.DefineRule("reach(X, Y) :- back(Y, X)") }, 1},
+		{"reachable class", func() error { return db.DefineClass("shot", "") }, 1},
+	}
+	for i, st := range steps {
+		view0, sub0 := viewRecomputes(), sub.Stats()
+		if err := st.change(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if err := db.Relate("edge", "b", object.OID(fmt.Sprintf("c%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		assertViewMatchesQuery(t, db, "v", goal, st.name)
+		if got := viewRecomputes() - view0; got != st.want {
+			t.Errorf("%s: view recomputed %d times, want %d", st.name, got, st.want)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			now := sub.Stats()
+			if now.Recomputes+now.Incremental > sub0.Recomputes+sub0.Incremental {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: subscription never flushed the edge", st.name)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		drainToOracle(t, db, sub, a, goal, st.name)
+		if got := sub.Stats().Recomputes - sub0.Recomputes; got != st.want {
+			t.Errorf("%s: subscription recomputed %d times, want %d", st.name, got, st.want)
+		}
 	}
 }
 

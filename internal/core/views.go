@@ -68,6 +68,7 @@ type viewState struct {
 	filter    sliceFilter
 
 	// Materialized state, guarded by mu.
+	slice       standingSlice
 	valid       bool
 	fingerprint string
 	incremental bool // slice is maintainable and the goal is rule-defined
@@ -268,24 +269,45 @@ func (v *viewState) enqueue(ev store.Event) {
 	}
 }
 
-// viewProgram assembles the view's reachable rule slice and its
-// fingerprint — the rendered slice, which changes exactly when a
-// rule-set or taxonomy change touches a rule the view can reach.
-func (db *DB) viewProgram(v *viewState) (datalog.Program, string) {
+// standingSlice is a standing goal's (a view's or a subscription's)
+// reachable rule slice and its fingerprint — the rendered slice, which
+// changes exactly when a rule-set or taxonomy change touches a rule the
+// goal can reach — with the definition versions it was built at.
+type standingSlice struct {
+	built   bool
+	progVer uint64
+	taxVer  uint64
+	prog    datalog.Program
+	fp      string
+}
+
+// slice returns the reachable rule slice of a standing goal (database
+// rules + taxonomy + the goal's local rules + the goal rule) and its
+// fingerprint. It rebuilds them into c only when the rules or the
+// taxonomy have moved since c was built; the caller owns c.
+func (db *DB) slice(c *standingSlice, goal parser.Query, local []datalog.Rule) (datalog.Program, string) {
+	db.defMu.RLock()
+	defer db.defMu.RUnlock()
+	progVer, taxVer := db.progVer, db.taxonomy.Version()
+	if c.built && c.progVer == progVer && c.taxVer == taxVer {
+		return c.prog, c.fp
+	}
 	rules := append([]datalog.Rule(nil), db.rules...)
 	rules = append(rules, db.taxonomy.Rules()...)
-	if v.goal.Rule != nil {
-		rules = append(rules, *v.goal.Rule)
+	rules = append(rules, local...)
+	if goal.Rule != nil {
+		rules = append(rules, *goal.Rule)
 	}
-	prog := datalog.NewProgram(rules...).Reachable(v.goal.Atom.Pred)
+	prog := datalog.NewProgram(rules...).Reachable(goal.Atom.Pred)
 	var fp strings.Builder
 	for _, r := range prog.Rules {
 		fp.WriteString(r.String())
 		fp.WriteByte('\n')
 	}
 	fp.WriteString("?- ")
-	fp.WriteString(v.goal.Atom.String())
-	return prog, fp.String()
+	fp.WriteString(goal.Atom.String())
+	*c = standingSlice{built: true, progVer: progVer, taxVer: taxVer, prog: prog, fp: fp.String()}
+	return c.prog, c.fp
 }
 
 func (db *DB) viewEngine(ctx context.Context, prog datalog.Program) (*datalog.Engine, error) {
@@ -301,7 +323,7 @@ func (db *DB) refreshView(ctx context.Context, v *viewState) (*ViewResult, error
 	v.mu.Lock()
 	defer v.mu.Unlock()
 
-	prog, fp := db.viewProgram(v)
+	prog, fp := db.slice(&v.slice, v.goal, nil)
 
 	// Drain the pending mutations this refresh will cover.
 	v.pendingMu.Lock()

@@ -414,8 +414,8 @@ func TestViewCancellationLeavesViewIntact(t *testing.T) {
 // TestViewDifferentialOracle is the acceptance-criteria oracle: after
 // every random interleaving of fact asserts/retracts with object writes
 // — entity puts, and interval puts and deletes on the oids the edges
-// reference — each materialized view equals a from-scratch query,
-// serially and under parallel engine workers, on the backend
+// reference — each materialized view equals a from-scratch query, on
+// the backend
 // VIDEODB_TEST_BACKEND names. One view's attribute guard reads objects;
 // the others are object-free and ignore object events.
 func TestViewDifferentialOracle(t *testing.T) {
@@ -424,7 +424,6 @@ func TestViewDifferentialOracle(t *testing.T) {
 		opts []Option
 	}{
 		{"serial", nil},
-		{"parallel", []Option{WithEngineOptions(datalog.Parallel(4))}},
 	}
 	for _, variant := range variants {
 		t.Run(variant.name, func(t *testing.T) {

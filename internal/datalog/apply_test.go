@@ -103,14 +103,13 @@ func sameSet(t *testing.T, got [][]object.Value, want map[string]bool, label str
 // random positive programs and random fact batches, an engine maintained
 // by Apply must hold exactly the relations a fresh Run computes after
 // every batch, and report as plus/minus exactly the set differences —
-// serially, under Parallel(4), and in the materializing evaluator.
+// in the streaming and the materializing evaluator.
 func TestApplyMatchesRecompute(t *testing.T) {
 	variants := []struct {
 		name string
 		opts []Option
 	}{
 		{"serial", nil},
-		{"parallel", []Option{Parallel(4)}},
 		{"materializing", []Option{WithoutStreaming()}},
 	}
 	for _, v := range variants {
@@ -198,36 +197,34 @@ func (p panicSource) ScanFacts(string, []store.ArgBind, func(store.Fact) bool) {
 // its store taken away after the run, Apply still brings it to the
 // fixpoint of the mutated database.
 func TestApplyNeverReadsStore(t *testing.T) {
-	for _, opts := range [][]Option{nil, {Parallel(4)}} {
-		p := NewProgram(append([]Rule{
-			NewRule(Rel("reach", Var("X"), Var("Y")), Rel("edge", Var("X"), Var("Y"))),
-			NewRule(Rel("reach", Var("X"), Var("Z")),
-				Rel("reach", Var("X"), Var("Y")), Rel("edge", Var("Y"), Var("Z"))),
-		}, applyRuleBank...)...)
-		s := store.New()
-		for _, e := range [][2]string{{"n0", "n1"}, {"n1", "n2"}, {"n2", "n0"}, {"n2", "n2"}} {
-			s.AddFact(edgeFact(e[0], e[1]))
-		}
-		s.AddFact(store.NewFact("color", object.Str("n1"), object.Str("red")))
-		eng := mustEngine(t, s, p, opts...)
-		if err := eng.RunAt(nil); err != nil {
-			t.Fatal(err)
-		}
-		eng.st, eng.src = nil, panicSource{t}
-
-		s.AddFact(edgeFact("n2", "n3"))
-		s.DeleteFact(edgeFact("n1", "n2"))
-		s.AddFact(store.NewFact("color", object.Str("n3"), object.Str("red")))
-		ins := FactDelta{
-			"edge":  {{object.Str("n2"), object.Str("n3")}},
-			"color": {{object.Str("n3"), object.Str("red")}},
-		}
-		del := FactDelta{"edge": {{object.Str("n1"), object.Str("n2")}}}
-		if _, _, err := eng.Apply(context.Background(), ins, del); err != nil {
-			t.Fatal(err)
-		}
-		assertSameRows(t, p, eng, runFull(t, s, p), fmt.Sprintf("opts %v", opts))
+	p := NewProgram(append([]Rule{
+		NewRule(Rel("reach", Var("X"), Var("Y")), Rel("edge", Var("X"), Var("Y"))),
+		NewRule(Rel("reach", Var("X"), Var("Z")),
+			Rel("reach", Var("X"), Var("Y")), Rel("edge", Var("Y"), Var("Z"))),
+	}, applyRuleBank...)...)
+	s := store.New()
+	for _, e := range [][2]string{{"n0", "n1"}, {"n1", "n2"}, {"n2", "n0"}, {"n2", "n2"}} {
+		s.AddFact(edgeFact(e[0], e[1]))
 	}
+	s.AddFact(store.NewFact("color", object.Str("n1"), object.Str("red")))
+	eng := mustEngine(t, s, p)
+	if err := eng.RunAt(nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.st, eng.src = nil, panicSource{t}
+
+	s.AddFact(edgeFact("n2", "n3"))
+	s.DeleteFact(edgeFact("n1", "n2"))
+	s.AddFact(store.NewFact("color", object.Str("n3"), object.Str("red")))
+	ins := FactDelta{
+		"edge":  {{object.Str("n2"), object.Str("n3")}},
+		"color": {{object.Str("n3"), object.Str("red")}},
+	}
+	del := FactDelta{"edge": {{object.Str("n1"), object.Str("n2")}}}
+	if _, _, err := eng.Apply(context.Background(), ins, del); err != nil {
+		t.Fatal(err)
+	}
+	assertSameRows(t, p, eng, runFull(t, s, p), "after Apply")
 }
 
 // Apply refuses engines it cannot maintain, and a failed Apply retires

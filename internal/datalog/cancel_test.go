@@ -148,14 +148,6 @@ func TestMaxDerivedGuardSerial(t *testing.T) {
 	}
 }
 
-func TestMaxDerivedGuardParallel(t *testing.T) {
-	e := mustEngine(t, chainStore(50), reachProgram(), MaxDerived(100), Parallel(4))
-	err := e.Run()
-	if !errors.Is(err, ErrLimitExceeded) {
-		t.Errorf("parallel err = %v, want errors.Is ErrLimitExceeded", err)
-	}
-}
-
 func TestMaxRoundsErrorIsTyped(t *testing.T) {
 	e := mustEngine(t, chainStore(5), reachProgram(), MaxRounds(2))
 	if err := e.Run(); !errors.Is(err, ErrLimitExceeded) {
@@ -204,31 +196,5 @@ func TestCancelInsideEntailFilter(t *testing.T) {
 	}
 	if steps := e.Stats().SolverSteps; steps == 0 || steps >= n*n {
 		t.Errorf("run spent %d filter steps, want some but fewer than n² = %d", steps, n*n)
-	}
-}
-
-// TestCancelReleasesParallelWorkers exercises the worker pool under a
-// deadline: the run must return (not deadlock) with a cancellation error.
-func TestCancelReleasesParallelWorkers(t *testing.T) {
-	s := store.New()
-	for i := 0; i < 120; i++ {
-		s.AddFact(store.NewFact("e", object.Str(fmt.Sprintf("v%d", i))))
-	}
-	p := NewProgram(
-		NewRule(Rel("pairs", Var("A"), Var("B")), Rel("e", Var("A")), Rel("e", Var("B"))),
-		NewRule(Rel("triples", Var("A"), Var("B"), Var("C")),
-			Rel("pairs", Var("A"), Var("B")), Rel("e", Var("C"))),
-	)
-	ctx := &trippingCtx{Context: context.Background(), after: 4}
-	e := mustEngine(t, s, p, WithContext(ctx), Parallel(4))
-	done := make(chan error, 1)
-	go func() { done <- e.Run() }()
-	select {
-	case err := <-done:
-		if !IsCanceled(err) {
-			t.Errorf("err = %v, want cancellation", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled parallel run did not return")
 	}
 }

@@ -93,9 +93,9 @@ type memberSpec struct {
 }
 
 // filterFunc evaluates a compiled filter literal against a frame. It takes
-// the engine as an argument (rather than capturing it) so that the
-// shallow-copied worker engines of parallel evaluation reuse the same
-// compiled plans.
+// the engine as an argument (rather than capturing it) so that one
+// compiled plan serves every engine the cross-query plan cache stamps
+// out from it (see CompiledProgram).
 type filterFunc func(e *Engine, fr *frame) (bool, error)
 
 // planStep is one step of a compiled plan.

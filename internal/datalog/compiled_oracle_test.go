@@ -3,7 +3,6 @@ package datalog
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -15,8 +14,8 @@ import (
 
 // Differential oracle for the compiled evaluator: the default engine
 // (compiled rule plans) must produce exactly the fixpoint of the reference
-// evaluator (per-evaluation planning) and of the naive evaluator,
-// including under parallel evaluation. Caching and compilation are
+// evaluator (per-evaluation planning) and of the naive evaluator.
+// Caching and compilation are
 // representation changes only — any observable difference is a bug.
 
 // oracleCase is one store+program instance for differential comparison.
@@ -197,68 +196,11 @@ func TestCompiledMatchesSeedEvaluator(t *testing.T) {
 	}
 }
 
-// TestCompiledMatchesUnderParallel repeats the comparison with worker
-// pools of several sizes (run with -race in the Makefile's race target).
-func TestCompiledMatchesUnderParallel(t *testing.T) {
-	for _, tc := range oracleCases(t) {
-		ref := mustEngine(t, tc.st, tc.prog, WithoutPlanCache())
-		refExt, refCreated, refStats := fixpointOf(t, ref, tc.prog)
-		nvExt, _, _ := fixpointOf(t, mustEngine(t, tc.st, tc.prog, Naive()), tc.prog)
-		for _, workers := range []int{2, 4} {
-			par := mustEngine(t, tc.st, tc.prog, Parallel(workers))
-			parExt, parCreated, parStats := fixpointOf(t, par, tc.prog)
-			label := fmt.Sprintf("parallel(%d) vs reference", workers)
-			sameExtents(t, tc.name, label, parExt, refExt)
-			sameCreated(t, tc.name, label, parCreated, refCreated)
-			if parStats.Derived != refStats.Derived {
-				t.Fatalf("%s: %s: Derived %d vs %d", tc.name, label, parStats.Derived, refStats.Derived)
-			}
-			sameExtents(t, tc.name, fmt.Sprintf("parallel(%d) vs naive", workers), parExt, nvExt)
-		}
-	}
-}
-
-// TestParallelFirstErrorDeterministic checks the runTasks contract: when
-// several tasks fail in one parallel round, the error of the earliest
-// task in queue order is reported, independent of goroutine scheduling.
-// Two rules' compiled plans are replaced with steps that always error;
-// badA precedes badB in rule (and therefore queue) order, so badA's
-// error must win on every trial.
-func TestParallelFirstErrorDeterministic(t *testing.T) {
-	s := store.New()
-	for i := 0; i < 8; i++ {
-		s.AddFact(store.NewFact("next",
-			object.Str(fmt.Sprintf("n%02d", i)), object.Str(fmt.Sprintf("n%02d", i+1))))
-	}
-	prog := NewProgram(
-		NewRule(Rel("badA", Var("X")), Rel("next", Var("X"), Var("Y"))),
-		NewRule(Rel("p1", Var("X")), Rel("next", Var("X"), Var("Y"))),
-		NewRule(Rel("badB", Var("X")), Rel("next", Var("X"), Var("Y"))),
-		NewRule(Rel("p2", Var("X")), Rel("next", Var("X"), Var("Y"))),
-	)
-	poison := func(msg string) []planStep {
-		return []planStep{{kind: stepFilter, filter: func(*Engine, *frame) (bool, error) {
-			return false, fmt.Errorf("%s", msg)
-		}}}
-	}
-	for trial := 0; trial < 20; trial++ {
-		e := mustEngine(t, s, prog, Parallel(4))
-		e.compiled[0].plans[-1] = poison("boom badA")
-		e.compiled[2].plans[-1] = poison("boom badB")
-		err := e.Run()
-		if err == nil {
-			t.Fatal("expected an evaluation error")
-		}
-		if !strings.Contains(err.Error(), "boom badA") {
-			t.Fatalf("trial %d: expected badA's error first, got: %v", trial, err)
-		}
-	}
-}
-
-// TestConcurrentQueriesRaceFree exercises the warmed EDB caches: queries
-// over predicates referenced only as goals (never in a rule body) run
-// concurrently after a parallel fixpoint without any goroutine lazily
-// writing a shared map. Meaningful under -race.
+// TestConcurrentQueriesRaceFree is the caller goalMu and runOnce serve:
+// several goroutines query one engine after its Run. The goal-only
+// predicates (never in a rule body, not registered before Run) load
+// through edbRowsShared while other goroutines register goals and read
+// derived rows. Meaningful under -race.
 func TestConcurrentQueriesRaceFree(t *testing.T) {
 	s := store.New()
 	for i := 0; i < 10; i++ {
@@ -272,7 +214,10 @@ func TestConcurrentQueriesRaceFree(t *testing.T) {
 		NewRule(Rel("reach", Var("X"), Var("Z")),
 			Rel("reach", Var("X"), Var("Y")), Rel("next", Var("Y"), Var("Z"))),
 	)
-	e := mustEngine(t, s, prog, Parallel(4))
+	e := mustEngine(t, s, prog)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

@@ -42,15 +42,13 @@ type Engine struct {
 	// in is the engine's pair interner (streaming mode): tuples are keyed
 	// by interned 64-bit ids instead of rendered strings. nil in the
 	// materializing ablation (WithoutStreaming), whose relations fall back
-	// to string keys. Shared by parallel worker copies (pointer field).
+	// to string keys.
 	in *pairInterner
 
 	// Cancellation (WithContext): ctx is checked once per fixpoint round
-	// and every cancelCheckInterval join-kernel tuples (ticks counts them;
-	// workers tick on their shallow copies, so no sharing). The solver
-	// budget carries both the MaxSolverSteps limit and the cancellation
-	// check into constraint-level evaluation; parallel workers share the
-	// pointer (Budget is internally atomic).
+	// and every cancelCheckInterval join-kernel tuples (ticks counts them).
+	// The solver budget carries both the MaxSolverSteps limit and the
+	// cancellation check into constraint-level evaluation.
 	//videolint:ignore ctxcheck engine is per-evaluation: built with the caller's ctx and discarded with it, never outliving the request
 	ctx            context.Context
 	ticks          uint64
@@ -96,9 +94,12 @@ type Engine struct {
 	readsEntities  bool
 	readsObjects   bool
 
-	// Query-goal predicates registered before Run so warmEDBCaches covers
-	// them: no worker or concurrent reader ever lazily writes edbCache.
-	goalMu    *sync.Mutex
+	// Query-goal predicates registered before Run, which warmGoalPreds
+	// loads. goalMu guards goalPreds and edbCache after Run: concurrent
+	// Query callers on one engine register goals (noteGoal) and lazily
+	// load the extent of a goal that was not registered before Run
+	// (edbRowsShared).
+	goalMu    sync.Mutex
 	goalPreds map[string]bool
 
 	// Stratification (negation extension): each rule runs in the stratum
@@ -111,21 +112,20 @@ type Engine struct {
 	curStratum int
 
 	intervalsGrow bool
-	runOnce       *sync.Once
+	runOnce       sync.Once
 	runErr        error
 
-	// stats is written only by the run goroutine (workers merge at the
-	// round barrier). Concurrent readers go through Stats, which returns
-	// the snapshot published under statsMu at every round boundary; the
-	// pointers are shared by worker copies so there is exactly one lock.
+	// stats is written only by the run goroutine. Stats and Profile may be
+	// called from other goroutines while Run executes: they read the
+	// snapshot published under statsMu at every round boundary.
 	stats     RunStats
-	statsMu   *sync.Mutex
-	statsSnap *RunStats
+	statsMu   sync.Mutex
+	statsSnap RunStats
 
-	// Profiling (WithProfiling): prof accumulates while the run executes
-	// (workers use private instances, merged at the barrier); profile is
-	// the published result, read via Profile under statsMu. curRule is the
-	// rule index currently evaluating, for per-rule attribution.
+	// Profiling (WithProfiling): prof accumulates while the run executes;
+	// profile is the published result, read via Profile under statsMu.
+	// curRule is the rule index currently evaluating, for per-rule
+	// attribution.
 	profiling bool
 	prof      *profileState
 	profile   *Profile
@@ -134,11 +134,6 @@ type Engine struct {
 	// Provenance tracing (TraceProvenance).
 	trace bool
 	prov  map[string]*Derivation
-
-	// Parallel evaluation (Parallel): worker count and, on worker-local
-	// shallow copies, the private proposal buffer.
-	workers int
-	collect *[]proposal
 
 	// Incremental maintenance (see incremental.go). edbDelta carries the
 	// current round's delta rows of extensional predicates (standard runs
@@ -153,13 +148,13 @@ type Engine struct {
 	delNext   map[string][]row
 
 	// curRel caches the head relation of the task being evaluated, saving
-	// a map lookup per firing (worker copies are private).
+	// a map lookup per firing.
 	curRel *relation
 
 	// ran records that runOnce has been consumed (by Run, RunAt or
 	// RunIncremental), distinguishing "already evaluated" from "evaluated
 	// with a nil error" for RunIncremental's misuse check.
-	ran *bool
+	ran bool
 
 	// In-place maintenance (Apply, see incremental.go). together records
 	// that RunAt loaded every extent the plans read, so the EDB caches
@@ -308,12 +303,7 @@ func newEngineShell(st *store.Store, prog Program) *Engine {
 		concatKey:      make(map[string]object.OID),
 		edbCache:       make(map[string]*relation),
 		edbKeys:        make(map[string]*keySet),
-		goalMu:         &sync.Mutex{},
 		goalPreds:      make(map[string]bool),
-		statsMu:        &sync.Mutex{},
-		statsSnap:      &RunStats{},
-		runOnce:        &sync.Once{},
-		ran:            new(bool),
 		prov:           make(map[string]*Derivation),
 	}
 }
@@ -397,13 +387,13 @@ func readsAttribute(l Literal) bool {
 func (e *Engine) ReadsObjects() bool { return e.readsObjects }
 
 // Stats returns the statistics of the last Run. It is safe to call
-// concurrently with Run (including Parallel(n) evaluation): mid-run it
-// returns the snapshot published at the most recent round boundary; after
-// Run returns it reports the final statistics.
+// concurrently with Run: mid-run it returns the snapshot published at
+// the most recent round boundary; after Run returns it reports the final
+// statistics.
 func (e *Engine) Stats() RunStats {
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()
-	return *e.statsSnap
+	return e.statsSnap
 }
 
 // publishStats copies the run goroutine's private stats into the snapshot
@@ -411,7 +401,7 @@ func (e *Engine) Stats() RunStats {
 // the run ends.
 func (e *Engine) publishStats() {
 	e.statsMu.Lock()
-	*e.statsSnap = e.stats
+	e.statsSnap = e.stats
 	e.statsMu.Unlock()
 }
 
@@ -421,7 +411,7 @@ func (e *Engine) publishStats() {
 // concurrent calls wait for it, then return its result.
 func (e *Engine) Run() error {
 	e.runOnce.Do(func() {
-		*e.ran = true
+		e.ran = true
 		e.runErr = e.runFixpoint()
 	})
 	return e.runErr
@@ -455,7 +445,7 @@ func (e *Engine) runStrata() error {
 // read lazily. An engine that ran this way can be maintained with Apply.
 func (e *Engine) RunAt(cut func()) error {
 	e.runOnce.Do(func() {
-		*e.ran = true
+		e.ran = true
 		e.runErr = e.runGuarded(func() error {
 			e.snapshotEDB()
 			e.st.ReadTogether(func(r store.Reader) {
@@ -554,6 +544,13 @@ func (e *Engine) runStratum(s int) error {
 	return nil
 }
 
+// evalTask identifies one unit of round work by rule index (into
+// prog.Rules / compiled) and delta body position (-1 = full extent).
+type evalTask struct {
+	ruleIdx int
+	delta   int
+}
+
 // runRound evaluates one TP round: the tasks, the round boundary, and —
 // when profiling — the round's wall time and firings/derived deltas. The
 // published stats snapshot advances at every boundary, so concurrent
@@ -572,8 +569,10 @@ func (e *Engine) runRound(tasks []evalTask, stratum int, guard bool) (bool, erro
 	if e.prof != nil {
 		start = time.Now()
 	}
-	if err := e.runTasks(tasks); err != nil {
-		return false, err
+	for _, t := range tasks {
+		if err := e.evalTask(t); err != nil {
+			return false, err
+		}
 	}
 	changed := e.advance()
 	if e.eager {
@@ -791,7 +790,7 @@ type bindings map[string]object.Value
 // time), the rule is recompiled here and the compilation error, if any,
 // surfaces exactly where the per-evaluation planner reported it.
 func (e *Engine) evalRule(ruleIdx, deltaPos int) error {
-	e.curRule = ruleIdx // per-rule attribution for profiling (worker copies are private)
+	e.curRule = ruleIdx // per-rule attribution for profiling
 	cr := e.compiled[ruleIdx]
 	if cr == nil {
 		var err error
@@ -1243,16 +1242,7 @@ func (e *Engine) fireHead(cr *compiledRule, fr *frame) error {
 			e.prof.ruleFirings[e.curRule]++
 		}
 		rel := e.curRel
-		// Workers read the extent's key set without locking: within a
-		// round it is immutable (proposals merge at the barrier), so this
-		// filters firings already in the extent; cross-worker duplicates
-		// of genuinely new tuples resolve at the merge.
 		if rel.keys.hasIDs(sids) {
-			return nil
-		}
-		if e.collect != nil {
-			tuple := append(row(nil), s...)
-			*e.collect = append(*e.collect, proposal{pred: r.Head.Pred, tuple: tuple, rule: e.curRule})
 			return nil
 		}
 		rel.proposeIDs(s, sids)
@@ -1308,11 +1298,6 @@ func (e *Engine) fireHead(cr *compiledRule, fr *frame) error {
 			e.delNext[pred] = append(e.delNext[pred], tuple)
 			e.delTuples[pred] = append(e.delTuples[pred], tuple)
 		}
-		return nil
-	}
-	if e.collect != nil {
-		// Parallel worker: buffer the proposal for the round barrier.
-		*e.collect = append(*e.collect, proposal{pred: r.Head.Pred, tuple: tuple, rule: e.curRule})
 		return nil
 	}
 	rel := e.derived[r.Head.Pred]

@@ -25,7 +25,7 @@ import (
 //     propagate like insertions.
 //   - Insertions propagate semi-naively: the inserted facts form the
 //     first delta, and the standard rounds (reusing the compiled plans
-//     and the join kernel, parallel when configured) run to fixpoint.
+//     and the join kernel) run to fixpoint.
 //
 // The EDB caches move from the pre-batch to the post-batch state by the
 // batch itself, between the two. The method is restricted to programs
@@ -98,7 +98,7 @@ func (e *Engine) RunIncremental(prior Extension, ins, del FactDelta) error {
 	called := false
 	e.runOnce.Do(func() {
 		called = true
-		*e.ran = true
+		e.ran = true
 		e.runErr = e.runGuarded(func() error { return e.runIncremental(prior, ins, del) })
 	})
 	if !called {
@@ -150,7 +150,7 @@ func (e *Engine) runIncremental(prior Extension, ins, del FactDelta) error {
 // engine. Stats afterwards describe this call's work.
 func (e *Engine) Apply(ctx context.Context, ins, del FactDelta) (plus, minus Extension, err error) {
 	switch {
-	case !*e.ran || e.runErr != nil:
+	case !e.ran || e.runErr != nil:
 		return nil, nil, fmt.Errorf("datalog: Apply needs an engine whose run succeeded")
 	case !e.together:
 		return nil, nil, fmt.Errorf("datalog: Apply needs an engine whose extents loaded together (RunAt), and none failed an Apply since")
@@ -195,9 +195,7 @@ type planKey struct{ rule, delta int }
 func (e *Engine) applyBatch(insRows, delRows map[string][]row) (plus, minus Extension, err error) {
 	e.compileIncPlans()
 
-	// Phase 1: DRed over-deletion against the pre-batch state (serial; the
-	// delSet bookkeeping is not worker-safe and deletion deltas are small
-	// by construction).
+	// Phase 1: DRed over-deletion against the pre-batch state.
 	deleted, err := e.overDelete(delRows)
 	if err != nil {
 		return nil, nil, err
@@ -266,7 +264,7 @@ func (e *Engine) applyBatch(insRows, delRows map[string][]row) (plus, minus Exte
 	// Phase 4: insertion propagation. Inserted facts on IDB predicates
 	// join the proposals; inserted facts on extensional predicates form
 	// one EDB delta round. From there the standard semi-naive rounds run
-	// to fixpoint (parallel when configured).
+	// to fixpoint.
 	for pred, rows := range insRows {
 		if rel, ok := e.derived[pred]; ok {
 			for _, t := range rows {
@@ -341,8 +339,8 @@ func (e *Engine) applyBatch(insRows, delRows map[string][]row) (plus, minus Exte
 // compileIncPlans compiles, once per engine, the plans maintenance adds
 // to the compiled rules: each extensional body position taking a delta
 // (compiled plans cover the IDB ones), and each rule's rederivation plan.
-// They live on the engine, not the shared compiled rules, and are
-// complete before any worker reads them. A rule that failed to compile
+// They live on the engine, not the compiled rules other engines share.
+// A rule that failed to compile
 // keeps no plan here, so evalRule surfaces its error.
 func (e *Engine) compileIncPlans() {
 	if e.incPlans != nil {
@@ -373,10 +371,10 @@ func (e *Engine) compileIncPlans() {
 
 // loadExtents loads every extensional extent a run can read: the whole
 // relation of each extensional predicate a rule body (negated included)
-// or registered goal mentions — what warmEDBCaches loads — and, for the
-// streaming executor, each constant-filtered scan it pushes down,
-// recorded in edbScans so maintenance reaches it. Runs before any
-// evaluation, so nothing is cached yet.
+// or registered goal mentions and, for the streaming executor, each
+// constant-filtered scan it pushes down, recorded in edbScans so
+// maintenance reaches it. Runs before any evaluation, so nothing is
+// cached yet.
 func (e *Engine) loadExtents() {
 	e.warmEDBCaches()
 	if !e.streaming {
@@ -402,6 +400,27 @@ func (e *Engine) loadExtents() {
 			e.edbScans[a.Pred] = append(e.edbScans[a.Pred], edbScan{rel: rel, binds: binds})
 		}
 	}
+}
+
+// warmEDBCaches loads the rows of every extensional predicate a rule
+// body or registered query goal reads, and the negation key sets of
+// negated extensional predicates.
+func (e *Engine) warmEDBCaches() {
+	for _, r := range e.prog.Rules {
+		for _, l := range r.Body {
+			switch a := l.(type) {
+			case RelAtom:
+				if !e.idb[a.Pred] {
+					e.edbRows(a.Pred)
+				}
+			case NotAtom:
+				if !e.idb[a.Atom.Pred] {
+					e.hasTuple(a.Atom.Pred, nil)
+				}
+			}
+		}
+	}
+	e.warmGoalPreds()
 }
 
 // edbScan is one constant-filtered EDB cache: the relation and the

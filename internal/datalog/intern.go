@@ -17,9 +17,10 @@ import (
 //     uint64 id. Scalar values (null, string, number, ref) intern through
 //     a comparable struct key, so the hot path never renders a string;
 //     temporal and set values fall back to their canonical String() form.
-//     The table is read-mostly, so lookups go through an atomically
-//     published snapshot (no lock); new values land in a small locked
-//     overflow map that is folded into a fresh snapshot once it grows.
+//     Engines of concurrent queries share the table, so lookups go
+//     through an atomically published snapshot (no lock); new values land
+//     in a small locked overflow map that is folded into a fresh snapshot
+//     once it grows.
 //     Ids are globally stable, which lets compiled plans precompute the
 //     ids of constant arguments and share them across engines (the
 //     cross-query plan cache depends on this).
@@ -28,10 +29,9 @@ import (
 //     key is the left fold of its value ids through the pair table, so
 //     equal rows get equal keys and — because pair ids live in a disjoint
 //     id space (the high bit) — distinct rows get distinct keys, with no
-//     length or separator folding tricks. The table is shared by the
-//     shallow-copied worker engines of Parallel(n) and uses the same
-//     snapshot+overflow scheme, so the steady state (duplicate-heavy
-//     rounds near the fixpoint) reads lock-free.
+//     length or separator folding tricks. Only the goroutine evaluating
+//     the engine (Run, then Apply) uses it — post-Run queries never key
+//     rows — so it is a plain map.
 //
 // Neither table ever shrinks or re-issues ids during a run; dedup
 // soundness and fixpoint termination rely on that.
@@ -86,6 +86,10 @@ type valueTables struct {
 	complex map[string]uint64 // temporal/set values by canonical rendering
 }
 
+// valueInterner is shared by every engine in the process: engines of
+// concurrent queries (core.DB runs each on its caller's goroutine) intern
+// through it at once, so base is published atomically and mu guards the
+// overflow maps and the id counter.
 type valueInterner struct {
 	base atomic.Pointer[valueTables]
 
@@ -119,7 +123,8 @@ var globalValues atomic.Pointer[valueInterner]
 
 func init() { globalValues.Store(newValueInterner()) }
 
-// internEpoch counts the live acquirers of the global value interner.
+// internEpoch counts the live acquirers of the global value interner;
+// databases open and close on any goroutine, so mu guards the count.
 var internEpoch struct {
 	mu     sync.Mutex
 	active int
@@ -246,53 +251,22 @@ func InternStats() InternTableStats {
 // pairKey identifies one cons cell of the row-key fold.
 type pairKey [2]uint64
 
-// pairInterner assigns ids to (id, id) pairs; one instance per engine,
-// shared by its parallel worker copies.
+// pairInterner assigns ids to (id, id) pairs; one instance per engine.
 type pairInterner struct {
-	base atomic.Pointer[map[pairKey]uint64]
-
-	mu   sync.Mutex
-	over map[pairKey]uint64
-	next uint64
+	ids map[pairKey]uint64
 }
 
 func newPairInterner() *pairInterner {
-	p := &pairInterner{over: make(map[pairKey]uint64)}
-	empty := map[pairKey]uint64{}
-	p.base.Store(&empty)
-	return p
+	return &pairInterner{ids: make(map[pairKey]uint64)}
 }
 
 func (p *pairInterner) id(a, b uint64) uint64 {
 	k := pairKey{a, b}
-	if id, ok := (*p.base.Load())[k]; ok {
+	if id, ok := p.ids[k]; ok {
 		return id
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if id, ok := (*p.base.Load())[k]; ok {
-		return id
-	}
-	if id, ok := p.over[k]; ok {
-		return id
-	}
-	p.next++
-	id := p.next | pairTag
-	p.over[k] = id
-	base := p.base.Load()
-	// Promote geometrically (overflow ~half the base) so the total
-	// copy work of a growing table stays linear in its final size.
-	if n := len(p.over); n >= 64 && n*2 >= len(*base) {
-		nt := make(map[pairKey]uint64, len(*base)+n)
-		for k, id := range *base {
-			nt[k] = id
-		}
-		for k, id := range p.over {
-			nt[k] = id
-		}
-		p.base.Store(&nt)
-		p.over = make(map[pairKey]uint64)
-	}
+	id := uint64(len(p.ids)+1) | pairTag
+	p.ids[k] = id
 	return id
 }
 

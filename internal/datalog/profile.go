@@ -17,11 +17,9 @@ import "time"
 
 // Profile reports where a fixpoint computation spent its time.
 //
-// Timing semantics: rule and round times are wall-clock. Under serial
-// evaluation the rule times of a round sum to at most that round's time
-// (the round also pays advance/boundary work). Under Parallel(n) the
-// per-rule times are summed across workers, so they can exceed the
-// round's wall time — they then measure aggregate compute, not latency.
+// Timing semantics: rule and round times are wall-clock. The rule times
+// of a round sum to at most that round's time (the round also pays
+// advance/boundary work).
 type Profile struct {
 	Rules  []RuleProfile  `json:"rules"`
 	Rounds []RoundProfile `json:"rounds"`
@@ -69,9 +67,7 @@ func (e *Engine) Profile() *Profile {
 }
 
 // profileState accumulates per-rule counters while a profiled run
-// executes. The run goroutine owns the engine's instance; each parallel
-// worker accumulates into a private instance that merges at the round
-// barrier, so no counter is ever written concurrently.
+// executes; only the run goroutine writes it.
 type profileState struct {
 	ruleTime    []time.Duration
 	ruleEvals   []int
@@ -92,16 +88,6 @@ func newProfileState(nRules int) *profileState {
 func (p *profileState) addEval(rule int, d time.Duration) {
 	p.ruleTime[rule] += d
 	p.ruleEvals[rule]++
-}
-
-// mergeWorker folds a parallel worker's private counters into the run's.
-// Worker states never carry rounds; those are recorded at the barrier.
-func (p *profileState) mergeWorker(w *profileState) {
-	for i := range p.ruleTime {
-		p.ruleTime[i] += w.ruleTime[i]
-		p.ruleEvals[i] += w.ruleEvals[i]
-		p.ruleFirings[i] += w.ruleFirings[i]
-	}
 }
 
 // evalTask evaluates one (rule, delta) task, timing it when profiling.

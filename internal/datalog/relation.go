@@ -3,7 +3,6 @@ package datalog
 import (
 	"slices"
 	"strings"
-	"sync"
 
 	"videodb/internal/object"
 )
@@ -244,12 +243,9 @@ type relation struct {
 
 	// Join index: argument position -> value key -> indexes into rows.
 	// Built lazily per position on first use, extended incrementally as
-	// rows grow. Rows only grow at the single-threaded round boundary, so
-	// within a round the index is read-mostly: probes take the read lock
-	// and fall through to the write lock only when the index has to be
-	// created or extended.
-	idxMu sync.RWMutex
-	idx   map[int]*posIndex
+	// rows grow. Only rule evaluation probes it, on the goroutine running
+	// the engine; post-Run queries read rows directly.
+	idx map[int]*posIndex
 }
 
 // posIndex indexes one argument position of a relation, keyed like the
@@ -272,51 +268,27 @@ func (r *relation) interned() bool { return r.keys.in != nil }
 
 // lookup64 returns the indexes of rows whose argument at pos has the
 // given interned value id. The index for a position is built on first use
-// and extended to cover new rows on later calls; the covering check and
-// probe run under the read lock, so concurrent workers only serialize
-// while the index actually grows.
+// and extended to cover new rows on later calls.
 func (r *relation) lookup64(pos int, key uint64) []int {
-	r.idxMu.RLock()
-	if pi, ok := r.idx[pos]; ok && pi.covered == len(r.rows) {
-		ids := pi.vals[key]
-		r.idxMu.RUnlock()
-		return ids
-	}
-	r.idxMu.RUnlock()
-
-	//videolint:ignore lockcheck double-checked locking: extendIndex re-validates coverage under the write lock before rebuilding
-	r.idxMu.Lock()
-	defer r.idxMu.Unlock()
-	pi := r.extendIndex(pos)
-	return pi.vals[key]
+	return r.extendIndex(pos).vals[key]
 }
 
 // lookupStr is lookup64 for string-keyed (materializing) relations.
 func (r *relation) lookupStr(pos int, key string) []int {
-	r.idxMu.RLock()
-	if pi, ok := r.idx[pos]; ok && pi.covered == len(r.rows) {
-		ids := pi.valsS[key]
-		r.idxMu.RUnlock()
-		return ids
-	}
-	r.idxMu.RUnlock()
-
-	//videolint:ignore lockcheck double-checked locking: extendIndex re-validates coverage under the write lock before rebuilding
-	r.idxMu.Lock()
-	defer r.idxMu.Unlock()
-	pi := r.extendIndex(pos)
-	return pi.valsS[key]
+	return r.extendIndex(pos).valsS[key]
 }
 
 // extendIndex creates or extends the position index to cover all rows.
-// Caller holds the write lock. The value map is pre-sized from the row
-// count — the distinct-value upper bound — so building a large index does
-// not rehash repeatedly.
+// The value map is pre-sized from the row count — the distinct-value
+// upper bound — so building a large index does not rehash repeatedly.
 func (r *relation) extendIndex(pos int) *posIndex {
+	pi, ok := r.idx[pos]
+	if ok && pi.covered == len(r.rows) {
+		return pi
+	}
 	if r.idx == nil {
 		r.idx = make(map[int]*posIndex)
 	}
-	pi, ok := r.idx[pos]
 	if !ok {
 		pi = &posIndex{}
 		if r.interned() {

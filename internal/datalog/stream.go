@@ -235,9 +235,7 @@ func (e *Engine) nextOp(cr *compiledRule, op *opState, fr *frame) (bool, error) 
 
 // edbFiltered returns the extensional relation restricted to the step's
 // constant arguments, scanned through the store's pushdown API and cached
-// under the step's constant signature. Worker goroutines never write the
-// shared cache: warmEDBCaches pre-fills it for compiled plans, and a
-// worker that still misses (per-evaluation compilation) scans privately.
+// under the step's constant signature.
 func (e *Engine) edbFiltered(st *planStep) *relation {
 	if rel, ok := e.edbCache[st.constSig]; ok {
 		return rel
@@ -252,7 +250,7 @@ func (e *Engine) edbFiltered(st *planStep) *relation {
 }
 
 // scanFiltered scans the facts of pred matching binds into a relation
-// and, outside parallel workers, caches it under sig.
+// and caches it under sig.
 func (e *Engine) scanFiltered(pred, sig string, binds []store.ArgBind) *relation {
 	rel := newRelation(e.in)
 	e.src.ScanFacts(pred, binds, func(f store.Fact) bool {
@@ -262,29 +260,6 @@ func (e *Engine) scanFiltered(pred, sig string, binds []store.ArgBind) *relation
 		}
 		return true
 	})
-	if e.collect == nil {
-		e.edbCache[sig] = rel
-	}
+	e.edbCache[sig] = rel
 	return rel
-}
-
-// warmFilteredScans pre-fills the pushdown scan cache for every compiled
-// step that uses one, so parallel workers read a complete cache.
-func (e *Engine) warmFilteredScans() {
-	if !e.streaming {
-		return
-	}
-	for _, cr := range e.compiled {
-		if cr == nil {
-			continue
-		}
-		for _, steps := range cr.plans {
-			for i := range steps {
-				st := &steps[i]
-				if st.kind == stepRel && st.constSig != "" && !st.useDelta && !e.idb[st.pred] {
-					e.edbFiltered(st)
-				}
-			}
-		}
-	}
 }

@@ -46,34 +46,6 @@ func TestStreamingMatchesMaterializing(t *testing.T) {
 	}
 }
 
-// TestStreamingMatchesMaterializingParallel repeats the comparison with
-// worker pools in both execution modes (meaningful under -race: workers
-// share the round's relations, pushdown caches, and the interner).
-func TestStreamingMatchesMaterializingParallel(t *testing.T) {
-	for _, tc := range oracleCases(t) {
-		ref := mustEngine(t, tc.st, tc.prog, WithoutStreaming())
-		refExt, refCreated, refStats := fixpointOf(t, ref, tc.prog)
-		for _, workers := range []int{2, 4} {
-			for _, mode := range []struct {
-				label string
-				opts  []Option
-			}{
-				{"streaming", []Option{Parallel(workers)}},
-				{"materializing", []Option{Parallel(workers), WithoutStreaming()}},
-			} {
-				e := mustEngine(t, tc.st, tc.prog, mode.opts...)
-				ext, created, stats := fixpointOf(t, e, tc.prog)
-				label := fmt.Sprintf("%s parallel(%d) vs reference", mode.label, workers)
-				sameExtents(t, tc.name, label, ext, refExt)
-				sameCreated(t, tc.name, label, created, refCreated)
-				if stats.Derived != refStats.Derived {
-					t.Fatalf("%s: %s: Derived %d vs %d", tc.name, label, stats.Derived, refStats.Derived)
-				}
-			}
-		}
-	}
-}
-
 // TestStreamingIncrementalMatches runs randomized insert/delete batches
 // through RunIncremental in both execution modes and compares each
 // against a from-scratch fixpoint of the mutated store.
@@ -140,7 +112,6 @@ func TestStreamingIncrementalMatches(t *testing.T) {
 			opts  []Option
 		}{
 			{"streaming", nil},
-			{"streaming-parallel", []Option{Parallel(4)}},
 			{"materializing", []Option{WithoutStreaming()}},
 		} {
 			inc := mustEngine(t, s, p, mode.opts...)
@@ -217,36 +188,4 @@ func TestStreamingMidStreamCancellation(t *testing.T) {
 			t.Fatalf("%s: run completed (%d firings) despite cancellation", mode.label, f)
 		}
 	}
-}
-
-// TestLookupFastPathUnderParallel drives the relation join index's
-// read-locked fast path from four workers at once: several rules probe
-// the same growing recursive relation in each round, so index extension
-// (write lock) and covered-index probes (RLock) interleave across
-// goroutines. Run with -race (the Makefile race target includes it).
-func TestLookupFastPathUnderParallel(t *testing.T) {
-	s := store.New()
-	const n = 60
-	for i := 0; i < n; i++ {
-		s.AddFact(store.NewFact("next",
-			object.Num(float64(i)), object.Num(float64(i+1))))
-	}
-	p := NewProgram(
-		NewRule(Rel("reach", Var("X"), Var("Y")), Rel("next", Var("X"), Var("Y"))),
-		NewRule(Rel("reach", Var("X"), Var("Z")),
-			Rel("reach", Var("X"), Var("Y")), Rel("next", Var("Y"), Var("Z"))),
-		// Three more rules that all probe reach on a bound position, so
-		// every parallel round issues concurrent lookups.
-		NewRule(Rel("meet", Var("X"), Var("Y"), Var("Z")),
-			Rel("reach", Var("X"), Var("Z")), Rel("reach", Var("Y"), Var("Z"))),
-		NewRule(Rel("fork", Var("X"), Var("Y"), Var("Z")),
-			Rel("reach", Var("X"), Var("Y")), Rel("reach", Var("X"), Var("Z"))),
-		NewRule(Rel("thru", Var("X"), Var("Z")),
-			Rel("reach", Var("X"), Var("Y")), Rel("reach", Var("Y"), Var("Z"))),
-	)
-	ref := mustEngine(t, s, p)
-	refExt, _, _ := fixpointOf(t, ref, p)
-	par := mustEngine(t, s, p, Parallel(4))
-	parExt, _, _ := fixpointOf(t, par, p)
-	sameExtents(t, "lookup-fastpath", "parallel(4) vs serial", parExt, refExt)
 }

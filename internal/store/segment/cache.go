@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"videodb/internal/object"
 	"videodb/internal/store"
@@ -15,9 +16,15 @@ import (
 // first use — a scan or a compaction — from the block's raw records: a
 // membership probe (HasFact, which every delete makes) needs the keys
 // alone, and a decoded fact holds several times the memory of its key.
+// Decoding adds the facts to the cost (see factsCost).
 type decodedBlock struct {
 	keys []string // sorted; parallel to facts
-	cost int64
+	cost int64    // under the owning cache's mu once resident
+
+	// owner and key are set when the block is admitted, so facts decoded
+	// later are charged to the cache that holds the block.
+	owner *blockCache
+	key   blockKey
 
 	once  sync.Once
 	rel   string
@@ -36,8 +43,22 @@ func (b *decodedBlock) decoded() ([]store.Fact, error) {
 			b.facts = append(b.facts, store.Fact{Name: b.rel, Args: append([]object.Value(nil), args...)})
 		})
 		b.raw = nil
+		if b.owner != nil {
+			b.owner.charge(b, factsCost(b.facts))
+		}
 	})
 	return b.facts, b.err
+}
+
+// factsCost is the memory decoded facts hold beyond their keys: each
+// fact's header and argument array. Argument payloads (strings, sets)
+// share the segment dictionary and are not counted again.
+func factsCost(facts []store.Fact) int64 {
+	n := int64(len(facts)) * int64(unsafe.Sizeof(store.Fact{}))
+	for _, f := range facts {
+		n += int64(len(f.Args)) * int64(unsafe.Sizeof(object.Value{}))
+	}
+	return n
 }
 
 // find returns the position of key in the block, or -1.
@@ -113,8 +134,28 @@ func (c *blockCache) put(k blockKey, blk *decodedBlock) {
 	if _, ok := c.entries[k]; ok {
 		return
 	}
+	blk.owner, blk.key = c, k
 	c.entries[k] = c.ll.PushFront(&cacheEntry{key: k, blk: blk})
 	c.used += blk.cost
+	c.evict()
+}
+
+// charge adds n bytes to a block's cost when its facts decode, if the
+// block is still resident, and evicts down to the budget.
+func (c *blockCache) charge(blk *decodedBlock, n int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[blk.key]; !ok || el.Value.(*cacheEntry).blk != blk {
+		return
+	}
+	blk.cost += n
+	c.used += n
+	c.evict()
+}
+
+// evict drops least-recently-used entries until the budget holds, always
+// keeping the most recent one. Called with mu held.
+func (c *blockCache) evict() {
 	for c.used > c.budget && c.ll.Len() > 1 {
 		el := c.ll.Back()
 		ent := el.Value.(*cacheEntry)

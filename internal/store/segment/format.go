@@ -368,6 +368,7 @@ func (r *segmentReader) readBlock(i int, withFacts bool) (*decodedBlock, error) 
 	}
 	if withFacts {
 		blk.once.Do(func() { blk.raw = nil }) // decoded in this pass
+		blk.cost += factsCost(blk.facts)
 	}
 	if len(blk.keys) != bm.Count {
 		return nil, fmt.Errorf("segment: %s block %d: decoded %d facts, index says %d",

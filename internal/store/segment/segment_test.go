@@ -283,6 +283,79 @@ func TestLargerThanCacheServing(t *testing.T) {
 	}
 }
 
+// TestCacheChargesDecodedFacts scans a relation whose decoded facts
+// exceed the block cache budget many times over, first after membership
+// probes left its blocks resident keys-only (facts decode lazily on a
+// hit), then cold (facts decode on the miss). Either way the cache must
+// charge the decoded facts: its byte count stays within the budget plus
+// one block, and covers what the resident blocks really hold.
+func TestCacheChargesDecodedFacts(t *testing.T) {
+	const n, budget = 2000, 16 << 10
+	b, err := Open(t.TempDir(), WithBlockCacheBytes(budget), WithBlockTargetBytes(512), WithFlushThreshold(500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.OpenBackend(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := 0; i < n; i++ {
+		if ok, err := st.AddFactErr(fact("big", fmt.Sprintf("key-%05d", i), fmt.Sprintf("val-%d", i%97))); err != nil || !ok {
+			t.Fatalf("add %d: %v", i, err)
+		}
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string) {
+		t.Helper()
+		c := b.cache
+		c.mu.Lock()
+		var held, maxBlock int64
+		for el := c.ll.Front(); el != nil; el = el.Next() {
+			blk := el.Value.(*cacheEntry).blk
+			for _, k := range blk.keys {
+				held += int64(len(k))
+			}
+			held += factsCost(blk.facts)
+			maxBlock = max(maxBlock, blk.cost)
+		}
+		c.mu.Unlock()
+		got := st.BackendStats().CacheBytes
+		if got > budget+maxBlock {
+			t.Errorf("%s: cache holds %d bytes, budget %d plus one block (%d)", label, got, budget, maxBlock)
+		}
+		if got < held {
+			t.Errorf("%s: cache charges %d bytes, its resident blocks hold %d", label, got, held)
+		}
+	}
+	// Probes leave the first blocks resident keys-only; a scan of their
+	// facts then hits them and decodes lazily.
+	const head = 100
+	for i := 0; i < head; i++ {
+		st.HasFact(fact("big", fmt.Sprintf("key-%05d", i), fmt.Sprintf("val-%d", i%97)))
+	}
+	hits := st.BackendStats().CacheHits
+	for _, c := range []struct {
+		label string
+		facts int
+	}{{"lazy decode", head}, {"decode on miss", n}} {
+		seen := 0
+		st.ScanFacts("big", nil, func(store.Fact) bool { seen++; return seen < c.facts })
+		if seen != c.facts {
+			t.Fatalf("%s: scan saw %d facts, want %d", c.label, seen, c.facts)
+		}
+		check(c.label)
+		if c.facts == head && st.BackendStats().CacheHits == hits {
+			t.Fatalf("%s: the scan hit no block the probes left resident", c.label)
+		}
+	}
+	if st.BackendStats().CacheEvictions == 0 {
+		t.Fatalf("no evictions while scanning %d facts through a %d-byte budget", n, budget)
+	}
+}
+
 // TestCompactionEquivalence checks that compaction preserves exactly the
 // visible fact set while collapsing segments and dropping tombstones.
 func TestCompactionEquivalence(t *testing.T) {

@@ -127,7 +127,9 @@ func (t *tailLog) close() error {
 
 // replayTail reads the log and calls apply for every record with
 // Seq > afterSeq, in order. It returns the last sequence number seen
-// (applied or skipped). A torn final record is truncated away.
+// (applied or skipped). A torn final record is truncated away. append
+// numbers records strictly increasing, so a record whose Seq does not
+// exceed its predecessor's is corruption, not a record to apply twice.
 func replayTail(path string, afterSeq uint64, apply func(tailRecord) error) (uint64, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -140,6 +142,7 @@ func replayTail(path string, afterSeq uint64, apply func(tailRecord) error) (uin
 
 	var (
 		lastSeq    = afterSeq
+		prevSeq    uint64
 		goodOffset int64
 		r          = bufio.NewReader(f)
 	)
@@ -171,6 +174,10 @@ func replayTail(path string, afterSeq uint64, apply func(tailRecord) error) (uin
 				}
 				return lastSeq, nil
 			}
+			if rec.Seq <= prevSeq {
+				return 0, fmt.Errorf("segment: tail-log record at line %d: sequence %d does not follow %d", lineNo, rec.Seq, prevSeq)
+			}
+			prevSeq = rec.Seq
 			if rec.Seq > afterSeq {
 				if err := apply(rec); err != nil {
 					return 0, fmt.Errorf("segment: replaying tail record %d: %w", rec.Seq, err)
