@@ -25,7 +25,11 @@ import (
 // Evaluation is goal-directed: a query evaluates only the rules its goal
 // depends on, and a goal with constants (costar(o1, Y, S)) is answered
 // from rules specialized to those constants, so it never builds the goal
-// predicate's full extent (see datalog.SpecializeGoal). No option
+// predicate's full extent (see datalog.SpecializeGoal). That holds
+// through recursion when the recursion carries the constants:
+// reach(a, X) over a left-linear closure derives a's closure only. A
+// recursion that does not (right-linear reach(a, X), non-linear closure)
+// keeps the full evaluation, as do goals over ⊕ rules. No option
 // controls the rewrite; WithoutQueryPruning turns all goal-directed
 // evaluation off and is the configuration the oracles compare against.
 //

@@ -10,9 +10,11 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the explain golden files")
 
 // TestExplainSpecializationGolden pins Explain's rendering of goal
-// specialization: a bound goal over a non-recursive IDB predicate prints
-// the rewritten rules under "specialized from …", a recursive goal the
-// reason it kept the unspecialized program. Regenerate with -update.
+// specialization: a bound goal, recursive (reach) or not (costar),
+// prints the rewritten rules under "specialized from …"; a goal whose
+// recursion does not carry its constants (right-linear rr bound on its
+// source) prints the reason it kept the unspecialized program.
+// Regenerate with -update.
 func TestExplainSpecializationGolden(t *testing.T) {
 	db := New()
 	defer db.Close()
@@ -22,12 +24,15 @@ costar(X, Y, S) :- appears_with(X, Y, S).
 costar(X, Y, S) :- appears_with(Y, X, S).
 reach(X, Y) :- costar(X, Y, S).
 reach(X, Z) :- reach(X, Y), costar(Y, Z, S).
+rr(X, Y) :- costar(X, Y, S).
+rr(X, Z) :- costar(X, Y, S), rr(Y, Z).
 `); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct{ file, query string }{
 		{"explain_costar.golden", "?- costar(o1, Y, S)."},
 		{"explain_reach.golden", "?- reach(o1, X)."},
+		{"explain_rr.golden", "?- rr(o1, X)."},
 	} {
 		got, err := db.Explain(c.query)
 		if err != nil {

@@ -26,7 +26,9 @@ import (
 // A version bump changes the key, so stale entries are never served;
 // they age out of the LRU. The goal is keyed by its atom text, not its
 // predicate, because a bound goal's program has its constants unified in
-// (datalog.SpecializeGoal). Entries are immutable and shared: a hit
+// (datalog.SpecializeGoal), recursive rules included: reach(a, X) and
+// reach(b, X) compile to different reach#1 rules. Entries are immutable
+// and shared: a hit
 // stamps out a fresh engine with datalog.NewEngineWith, skipping
 // parse-free compilation entirely.
 

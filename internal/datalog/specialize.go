@@ -9,9 +9,18 @@ import (
 // answered from a rewritten program instead of p's whole extent. The goal
 // becomes a fresh predicate p#n(Ȳ) whose rules are p's rules with the
 // constants unified into their heads; the rewrite repeats for body atoms
-// over non-recursive IDB predicates that become bound. The constants then
-// sit in body atoms, where the executor's pushdown scans the store under
-// them (edbFiltered), so the probe touches only matching facts.
+// over IDB predicates that become bound, recursive ones included, one
+// fresh predicate per bound pattern. The constants then sit in body
+// atoms, where the executor's pushdown scans the store under them
+// (edbFiltered), so the probe touches only matching facts.
+//
+// Each fresh predicate is defined by all of its source predicate's rules
+// with the pattern unified into their heads, so over T_P rounds it holds
+// exactly σ_pattern of the source's least fixpoint. Through recursion
+// that gives reach#1(Z) :- reach#1(Y), co(Y, Z) for ?reach(a, X) over a
+// left-linear closure: only a's closure is derived. Patterns range over
+// the finitely many constants of the goal and the rules, so the rewrite
+// terminates.
 //
 // A predicate may have stored facts as well as rules (seedEDB loads them
 // into its relation), so every fresh predicate also gets the rule
@@ -20,10 +29,16 @@ import (
 // facts; when p is still needed unspecialized elsewhere, the rule reads
 // p's derived relation, a superset that the binds narrow the same way.
 //
-// The rewrite keeps the unspecialized path when the goal has no
-// constants, when the goal predicate is recursive (the specialized rules
-// would need the rest of the recursion anyway), and when one of its rules
-// has a ⊕ head (created objects must not depend on the goal).
+// A recursion need not carry the constants: for right-linear
+// r(X, Z) :- e(X, Y), r(Y, Z) the goal r(a, X) leaves r(Y, Z) free, so
+// the rewritten program would run the whole recursion plus a specialized
+// copy. When the kept original rules still include a rule of a
+// specialized recursive component, that component is not specialized:
+// the goal's own component falls back to the unspecialized path, any
+// other is left unrewritten and the rewrite rebuilt. The unspecialized
+// path is also kept when the goal has no constants and when one of the
+// goal predicate's rules has a ⊕ head (created objects must not depend
+// on the goal).
 
 // Specialization is the program a query goal is answered from.
 type Specialization struct {
@@ -43,53 +58,73 @@ func SpecializeGoal(prog Program, goal RelAtom) Specialization {
 	switch {
 	case !hasConstant(goal.Args):
 		fallback = "no constants in the goal"
-	case g.recursive(goal.Pred):
-		fallback = goal.Pred + " is recursive"
 	case g.constructive(goal.Pred):
 		fallback = goal.Pred + " has a ⊕ head"
 	}
-	if fallback != "" {
-		return Specialization{Program: prog.Reachable(goal.Pred), Goal: goal, Fallback: fallback}
-	}
+	// A component whose recursion does not carry its pattern is blocked
+	// and the rewrite rebuilt. Blocking turns its fresh atoms back into
+	// atoms over rules that were already kept, so the second pass finds
+	// no uncarried component.
+	var blocked map[string]bool
+	for fallback == "" {
+		s := &specializer{g: g, blocked: blocked, taken: map[string]bool{}, fresh: map[string]string{}}
+		for _, p := range g.Preds() {
+			s.taken[p] = true
+		}
+		top := s.atom(goal)
+		for len(s.queue) > 0 {
+			d := s.queue[0]
+			s.queue = s.queue[1:]
+			s.define(d.pred, d.atom)
+		}
 
-	s := &specializer{g: g, taken: map[string]bool{}, fresh: map[string]string{}}
-	for _, p := range g.Preds() {
-		s.taken[p] = true
-	}
-	top := s.atom(goal)
-	for len(s.queue) > 0 {
-		d := s.queue[0]
-		s.queue = s.queue[1:]
-		s.define(d.pred, d.atom)
-	}
-
-	// Keep the original rules the specialized ones still need. The
-	// stored-facts rules are left out of the reachability walk: they must
-	// not pull back the rules of the predicate they scan.
-	var derived []Rule
-	for i, r := range s.rules {
-		if !s.stored[i] {
-			derived = append(derived, r)
+		// Keep the original rules the specialized ones still need. The
+		// stored-facts rules are left out of the reachability walk: they
+		// must not pull back the rules of the predicate they scan.
+		var derived []Rule
+		for i, r := range s.rules {
+			if s.orig[i] >= 0 {
+				derived = append(derived, r)
+			}
+		}
+		wg := NewDepGraph(NewProgram(append(derived, prog.Rules...)...))
+		kept := wg.ReachableRules(top.Pred)[len(derived):]
+		out := s.rules
+		for i, r := range prog.Rules {
+			if kept[i] {
+				out = append(out, r)
+			}
+		}
+		uncarried := s.uncarried(kept)
+		if len(uncarried) == 0 {
+			return Specialization{Program: NewProgram(out...), Goal: top}
+		}
+		for _, p := range uncarried {
+			if g.sameComponent(p, goal.Pred) {
+				fallback = s.uncarriedReason(goal.Pred, wg)
+			}
+			if blocked == nil {
+				blocked = map[string]bool{}
+			}
+			for _, q := range g.Preds() {
+				if g.sameComponent(p, q) {
+					blocked[q] = true
+				}
+			}
 		}
 	}
-	withOrig := NewProgram(append(derived, prog.Rules...)...)
-	kept := NewDepGraph(withOrig).ReachableRules(top.Pred)
-	out := s.rules
-	for i, r := range prog.Rules {
-		if kept[len(derived)+i] {
-			out = append(out, r)
-		}
-	}
-	return Specialization{Program: NewProgram(out...), Goal: top}
+	return Specialization{Program: prog.Reachable(goal.Pred), Goal: goal, Fallback: fallback}
 }
 
 type specializer struct {
-	g      *DepGraph
-	taken  map[string]bool   // predicate names in use
-	fresh  map[string]string // bound-atom pattern -> fresh predicate
-	queue  []pendingDef      // fresh predicates whose rules are not built yet
-	rules  []Rule            // the fresh predicates' rules, in creation order
-	stored []bool            // aligned with rules: the stored-facts rule
+	g       *DepGraph
+	blocked map[string]bool   // predicates whose recursion did not carry a pattern
+	taken   map[string]bool   // predicate names in use
+	fresh   map[string]string // bound-atom pattern -> fresh predicate
+	rec     []string          // recursive predicates with a fresh predicate
+	queue   []pendingDef      // fresh predicates whose rules are not built yet
+	rules   []Rule            // the fresh predicates' rules, in creation order
+	orig    []int             // aligned with rules: the original rule, -1 for the stored-facts rule
 }
 
 type pendingDef struct {
@@ -112,6 +147,9 @@ func (s *specializer) atom(a RelAtom) RelAtom {
 		}
 		s.taken[name] = true
 		s.fresh[key] = name
+		if s.g.recursive(a.Pred) {
+			s.rec = append(s.rec, a.Pred)
+		}
 		s.queue = append(s.queue, pendingDef{pred: name, atom: a})
 	}
 	return RelAtom{Pred: name, Args: varTerms(distinctVars(a.Args)), Pos: a.Pos}
@@ -135,20 +173,60 @@ func (s *specializer) define(pred string, a RelAtom) {
 			}
 			body[j] = l
 		}
-		s.add(Rule{Name: r.Name, Head: RelAtom{Pred: pred, Args: head, Pos: r.Head.Pos}, Body: body, Pos: r.Pos}, false)
+		s.add(Rule{Name: r.Name, Head: RelAtom{Pred: pred, Args: head, Pos: r.Head.Pos}, Body: body, Pos: r.Pos}, i)
 	}
-	s.add(NewRule(Rel(pred, varTerms(vars)...), a), true)
+	s.add(NewRule(Rel(pred, varTerms(vars)...), a), -1)
 }
 
-func (s *specializer) add(r Rule, stored bool) {
+func (s *specializer) add(r Rule, orig int) {
 	s.rules = append(s.rules, r)
-	s.stored = append(s.stored, stored)
+	s.orig = append(s.orig, orig)
 }
 
 // specializable reports whether a body atom is rewritten too: it is bound
-// and its predicate is a non-recursive IDB predicate without ⊕ heads.
+// and its predicate is an IDB predicate without ⊕ heads whose recursion
+// has not been blocked.
 func (s *specializer) specializable(a RelAtom) bool {
-	return s.g.IDB(a.Pred) && hasConstant(a.Args) && !s.g.recursive(a.Pred) && !s.g.constructive(a.Pred)
+	return s.g.IDB(a.Pred) && hasConstant(a.Args) && !s.blocked[a.Pred] && !s.g.constructive(a.Pred)
+}
+
+// uncarried returns the recursive predicates with a fresh predicate
+// whose component still has a kept original rule (kept is aligned with
+// the original program's rules): their recursion did not carry the
+// pattern.
+func (s *specializer) uncarried(kept []bool) []string {
+	var out []string
+	for _, p := range s.rec {
+		for i, r := range s.g.prog.Rules {
+			if kept[i] && s.g.sameComponent(p, r.Head.Pred) {
+				out = append(out, p)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// uncarriedReason names the goal's fallback when its recursion does not
+// carry the constants, citing the first original rule whose rewrite
+// still reads the component unspecialized. wg is the graph of the
+// rewritten rules, stored-facts rules left out, followed by the original
+// program.
+func (s *specializer) uncarriedReason(goal string, wg *DepGraph) string {
+	reason := goal + "'s recursion does not carry the goal's constants"
+	j := 0 // the rule's index in wg
+	for _, o := range s.orig {
+		if o < 0 {
+			continue
+		}
+		for _, e := range wg.RuleDeps(j) {
+			if s.g.sameComponent(goal, e.To) {
+				return fmt.Sprintf("%s (rule %s)", reason, s.g.prog.Rules[o])
+			}
+		}
+		j++
+	}
+	return reason
 }
 
 // recursive reports whether the predicate depends on itself, directly or
@@ -160,6 +238,12 @@ func (g *DepGraph) recursive(pred string) bool {
 		}
 	}
 	return false
+}
+
+// sameComponent reports whether two predicates are one predicate or each
+// depends on the other.
+func (g *DepGraph) sameComponent(p, q string) bool {
+	return p == q || g.depPath(p, q) != nil && g.depPath(q, p) != nil
 }
 
 // constructive reports whether some rule defining the predicate has a ⊕
