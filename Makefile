@@ -46,12 +46,18 @@ lint: $(VIDEOLINT)
 test:
 	$(GO) test ./...
 
-# test-stream runs the live-subscription suite: the core pump and
-# changelog tests, the SSE/webhook server surface, and the end-to-end
-# replay demo (videogen -stream into a live server with an SSE
-# subscriber converging on the one-shot answer) on the segment backend.
+# test-stream runs the maintained-query suite: the core subscription,
+# view and changelog tests, the SSE/webhook/view server surface, the
+# registration-order tests (a subscription's snapshot and a view's first
+# answer are computed, under the admission gate, before registration
+# returns) — the webhook delivery and gate tests again 20 times under
+# the race detector on one CPU, where a snapshot computed after
+# registration returned would show — and the end-to-end replay demo
+# (videogen -stream into a live server with an SSE subscriber
+# converging on the one-shot answer) on the segment backend.
 test-stream:
-	$(GO) test -run 'TestSubscri|TestSSE|TestWebhook|TestServerClose|TestStatusWriter' ./internal/core/ ./internal/server/ ./internal/store/
+	$(GO) test -run 'TestSubscri|TestSSE|TestWebhook|TestServerClose|TestStatusWriter|TestView|TestMaterialize|TestGateHoldsRegistration' ./internal/core/ ./internal/server/ ./internal/store/
+	$(GO) test -race -cpu 1 -count 20 -run 'TestWebhookDelivery$$|TestGateHoldsRegistration$$' ./internal/core/ ./internal/server/
 	$(GO) test -run 'TestStreamingSubscriptionE2E' ./internal/integration/
 
 # race runs under the race detector every caller the engine's remaining

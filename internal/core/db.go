@@ -52,19 +52,16 @@ type DB struct {
 	// WithoutQueryPlanCache.
 	plans *planCache
 
-	// Materialized views (see views.go). viewFeed attaches the store
-	// changelog subscription once, on first Materialize.
-	views    viewRegistry
-	viewFeed sync.Once
-
-	// Continuous queries (see subscribe.go). subFeed attaches the store
-	// changelog subscription once, on first SubscribeQuery. defMu guards
-	// the rule/taxonomy definitions against the subscription pumps, which
-	// assemble programs from background goroutines (one-shot queries keep
-	// the documented external-serialization contract above).
-	subs    subRegistry
-	subFeed sync.Once
-	defMu   sync.RWMutex
+	// Maintained queries (see maintained.go): materialized views and
+	// continuous queries. feed attaches the one store changelog hook, on
+	// the first registration. defMu guards the rule/taxonomy definitions
+	// against the subscription pumps, which assemble programs from
+	// background goroutines (one-shot queries keep the documented
+	// external-serialization contract above).
+	views viewRegistry
+	subs  subRegistry
+	feed  sync.Once
+	defMu sync.RWMutex
 
 	// gate is the optional admission hook applied by every evaluation
 	// entrypoint (see gate.go); nil admits everything.

@@ -3,11 +3,13 @@ package core
 import "context"
 
 // Gate is an admission hook invoked at the top of every evaluation
-// entrypoint (QueryContext and friends, LoadScriptContext,
-// ExplainContext, MaterializeContext, ViewContext) before any parsing or
-// engine work. It either admits the evaluation — returning a release
-// function the entrypoint calls when the evaluation finishes — or
-// refuses it with an error, which the entrypoint returns verbatim.
+// entrypoint, before any parsing or engine work: QueryContext,
+// QueryProfiledContext, QueryAtomContext, LoadScriptContext,
+// ExplainContext, MaterializeContext, ViewContext and
+// SubscribeQueryContext (and their context-free wrappers, which pass
+// context.Background()). It either admits the evaluation — returning a
+// release function the entrypoint calls when the evaluation finishes —
+// or refuses it with an error, which the entrypoint returns verbatim.
 //
 // The gate is how an embedder layers load control onto the per-query
 // cancellation/budget machinery: the budgets bound how much one admitted
@@ -20,11 +22,12 @@ import "context"
 //
 // A Gate must not call back into the DB's evaluation entrypoints: the
 // entrypoints are not re-entrant through the gate, so a gate that
-// queries would admit through itself recursively. Internal maintenance
-// work (materialized-view refresh batches, subscription pumps) runs
-// below the gate deliberately — it executes on behalf of already-
-// admitted work or a standing registration, and gating it would let a
-// saturated gate deadlock maintenance.
+// queries would admit through itself recursively. A registration's
+// first answer is evaluation and is gated (Materialize and
+// SubscribeQuery compute it before they return); a subscription's pump,
+// which maintains the answer afterwards, runs below the gate
+// deliberately — it works for a standing registration, and gating it
+// would let a saturated gate deadlock maintenance.
 type Gate func(ctx context.Context) (release func(), err error)
 
 // WithGate installs an admission gate on the DB's evaluation

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // The admission gate wraps every evaluation entrypoint: each call either
@@ -46,6 +47,13 @@ func TestEvalGate(t *testing.T) {
 		{"ExplainContext", func() error { _, err := db.ExplainContext(ctx, "?- r(X, Y)."); return err }},
 		{"MaterializeContext", func() error { _, err := db.MaterializeContext(ctx, "v", "?- r(X, Y)"); return err }},
 		{"ViewContext", func() error { _, err := db.ViewContext(ctx, "v"); return err }},
+		{"SubscribeQueryContext", func() error {
+			sub, err := db.SubscribeQueryContext(ctx, nil, "?- r(X, Y)", SubOptions{})
+			if err == nil {
+				sub.Close()
+			}
+			return err
+		}},
 	}
 
 	for i, ep := range entrypoints {
@@ -128,5 +136,85 @@ func TestEvalGateSeesCallerContext(t *testing.T) {
 	cancel()
 	if _, err := db.QueryContext(dead, "?- e(X)."); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled caller: err = %v, want context.Canceled", err)
+	}
+}
+
+// A registration's first answer is evaluation: a blocking gate holds
+// MaterializeContext and SubscribeQueryContext until it is released, and
+// neither registers anything meanwhile. The answer they return reflects
+// the store at release, so a write made while they waited is in the
+// snapshot, and one made after they returned is a delta.
+func TestGateHoldsRegistration(t *testing.T) {
+	open := make(chan struct{})
+	var waiting atomic.Int64
+	db := New(WithGate(func(ctx context.Context) (func(), error) {
+		waiting.Add(1)
+		select {
+		case <-open:
+			return func() {}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}))
+	defer db.Close()
+	if err := db.Relate("likes", "a", "b"); err != nil {
+		t.Fatal(err)
+	}
+
+	type result struct {
+		view *ViewResult
+		sub  *Subscription
+		err  error
+	}
+	viewDone, subDone := make(chan result, 1), make(chan result, 1)
+	go func() {
+		v, err := db.MaterializeContext(context.Background(), "v", "?- likes(X, Y)")
+		viewDone <- result{view: v, err: err}
+	}()
+	go func() {
+		s, err := db.SubscribeQueryContext(context.Background(), nil, "?- likes(X, Y)", SubOptions{})
+		subDone <- result{sub: s, err: err}
+	}()
+	for waiting.Load() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case r := <-viewDone:
+		t.Fatalf("MaterializeContext returned through a closed gate: %+v", r)
+	case r := <-subDone:
+		t.Fatalf("SubscribeQueryContext returned through a closed gate: %+v", r)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if n := len(db.Subscriptions()); n != 0 {
+		t.Fatalf("%d subscriptions registered behind a closed gate", n)
+	}
+	if n := len(db.Views()); n != 0 {
+		t.Fatalf("%d views registered behind a closed gate", n)
+	}
+	if err := db.Relate("likes", "b", "c"); err != nil {
+		t.Fatal(err)
+	}
+
+	close(open)
+	vr, sr := <-viewDone, <-subDone
+	if vr.err != nil || sr.err != nil {
+		t.Fatalf("after release: view %v, subscribe %v", vr.err, sr.err)
+	}
+	defer sr.sub.Close()
+	if len(vr.view.Rows) != 2 {
+		t.Fatalf("view's first answer has %d rows, want 2", len(vr.view.Rows))
+	}
+	if err := db.Relate("likes", "c", "d"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	ev, err := sr.sub.Next(ctx)
+	if err != nil || ev.Kind != SubSnapshot || len(ev.Rows) != 2 {
+		t.Fatalf("first event = %+v (%v), want a 2-row snapshot", ev, err)
+	}
+	ev, err = sr.sub.Next(ctx)
+	if err != nil || ev.Kind != SubDelta || ev.Sign != 1 || ev.Row[0].String() != "c" {
+		t.Fatalf("second event = %+v (%v), want +likes(c, d)", ev, err)
 	}
 }

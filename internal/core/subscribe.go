@@ -14,26 +14,23 @@ import (
 	"videodb/internal/datalog"
 	"videodb/internal/object"
 	"videodb/internal/parser"
-	"videodb/internal/store"
 )
 
-// Continuous queries: a subscription is a standing VideoQL goal whose
-// answer set is maintained against the live store changelog — the
-// situation-monitoring counterpart of materialized views (views pull at
-// read time; subscriptions push on change). Each subscription owns a
-// pump goroutine that drains queued store events, brings the answer set
-// up to date and emits +tuple/-tuple deltas into a bounded
-// per-subscriber queue. The subscription keeps the engine of its last
-// full run; its goal relation is the answer set. A fact batch on a
-// slice in the maintainable fragment is applied to that engine in place
-// (datalog.Engine.Apply) and the goal's net change is emitted; anything
-// else re-evaluates into a new engine (the mode logic of views.go) and
-// emits the difference of the two answers.
+// Continuous queries: a subscription is a maintained query
+// (maintained.go) that pushes its answer's changes — the
+// situation-monitoring counterpart of materialized views, which pull.
+// Registration computes the first answer and queues it as the snapshot
+// before SubscribeQueryContext returns. Each subscription then owns a
+// pump goroutine that waits for queued store events, refreshes the
+// retained engine and emits +tuple/-tuple deltas into a bounded
+// per-subscriber queue: an in-place Apply emits the goal's net change, a
+// recompute the difference of the two answers.
 //
 // Delivery contract:
 //
 //   - The first event is always a snapshot (SubSnapshot) carrying the
-//     full answer set at subscribe time; deltas follow.
+//     full answer set at subscribe time; deltas follow. A write
+//     acknowledged after SubscribeQuery returned arrives as a delta.
 //   - Every event carries a per-subscription monotone sequence number;
 //     a consumer that reconnects can discard events it already saw.
 //   - A consumer slower than the delta rate hits the queue bound. Under
@@ -42,11 +39,7 @@ import (
 //     is exact again. Under SubDisconnect the subscription is closed with
 //     ErrSlowConsumer.
 //   - After a quiescent store, the accumulated answer set (snapshot plus
-//     applied deltas) equals the one-shot query answer. A full run reads
-//     its facts under one store lock and cuts the event queue there, so
-//     the next batch is exact; a slice that reads objects resolves them
-//     after the cut, and any event racing its run taints the answer and
-//     forces the next flush to recompute.
+//     applied deltas) equals the one-shot query answer.
 //
 // Windows: the goal may conjoin window(F, N) — F a goal variable, N a
 // positive integer — restricting answers to those whose F binds to one
@@ -155,40 +148,17 @@ type Subscription struct {
 	id      uint64
 	db      *DB
 	goalSrc string
-	goal    parser.Query // window atoms stripped
-	rules   []datalog.Rule
 	columns []string
 	windows []windowSpec
 	opts    SubOptions
 
-	// Intake: store events queued under the store's write lock, drained
-	// by the pump. Mirrors viewState's queue/overflow/recompute
-	// machinery, except object puts are additionally retained (bounded)
-	// as the frame clock when the goal is windowed.
-	pendingMu  sync.Mutex
-	pending    []store.Event
-	reset      bool
-	clockReset bool
-	filter     sliceFilter
-	framePuts  []object.OID
-	frameLost  uint64
-	stopped    bool
-
-	wake chan struct{} // capacity 1; tokens mean "pending work"
-
-	// Pump-private maintenance state. eng is the retained engine: its goal
-	// relation is the answer set (nil until the first run, and after a
-	// failed Apply). visible is a windowed subscription's last emitted
-	// answer, in answer order. slice is first built by SubscribeQuery,
-	// before the pump starts.
-	slice       standingSlice
-	eng         *datalog.Engine
-	tainted     bool
-	incremental bool
-	fingerprint string
-	visible     [][]object.Value
-	frames      uint64
-	stamps      map[object.OID]uint64
+	// m is the maintained query; its retained state is the pump's (and,
+	// before the pump starts, the registering caller's). visible is a
+	// windowed subscription's last emitted answer, in answer order.
+	m       maintained
+	visible [][]object.Value
+	frames  uint64
+	stamps  map[object.OID]uint64
 
 	//videolint:ignore ctxcheck pump lifetime context: created and cancelled by the subscription itself (Close), never borrowed from a request
 	pumpCtx    context.Context
@@ -280,7 +250,7 @@ func (db *DB) Subscriptions() []SubInfo {
 		out[i] = SubInfo{
 			ID:        s.id,
 			Goal:      s.goalSrc,
-			Rules:     len(s.rules),
+			Rules:     len(s.m.local),
 			Windowed:  len(s.windows) > 0,
 			Queued:    queued,
 			Delivered: s.delivered.Load(),
@@ -292,16 +262,30 @@ func (db *DB) Subscriptions() []SubInfo {
 	return out
 }
 
-// SubscribeQuery registers a standing query: the goal (plus optional
-// subscription-local rules, in VideoQL syntax) is evaluated once and
-// then maintained against every acknowledged store mutation, pushing
-// answer deltas to the returned Subscription. The caller must Close it.
+// SubscribeQuery is SubscribeQueryContext without a caller context.
 func (db *DB) SubscribeQuery(rules []string, goal string, opts SubOptions) (*Subscription, error) {
+	return db.SubscribeQueryContext(context.Background(), rules, goal, opts)
+}
+
+// SubscribeQueryContext registers a standing query: the goal (plus
+// optional subscription-local rules, in VideoQL syntax) is evaluated
+// once, under ctx and the DB's admission gate, and its answer is queued
+// as the snapshot event before the call returns; the subscription then
+// maintains it against every acknowledged store mutation, pushing answer
+// deltas to the returned Subscription. On error — a cancelled ctx
+// included — nothing stays registered. The caller must Close it.
+func (db *DB) SubscribeQueryContext(ctx context.Context, rules []string, goal string, opts SubOptions) (*Subscription, error) {
+	release, err := db.enter(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
 	q, err := parser.ParseQuery(goal)
 	if err != nil {
 		return nil, err
 	}
 	var parsed []datalog.Rule
+	//videolint:ignore ctxcheck bounded by the caller's rule list; parsing only, no blocking work
 	for _, src := range rules {
 		r, err := parser.ParseRule(src)
 		if err != nil {
@@ -319,35 +303,26 @@ func (db *DB) SubscribeQuery(rules []string, goal string, opts SubOptions) (*Sub
 
 	opts = opts.withDefaults()
 	//videolint:ignore ctxcheck the subscription outlives the creating request by design; its pump stops via Close, not the caller's ctx
-	ctx, cancel := context.WithCancel(context.Background())
+	pumpCtx, cancel := context.WithCancel(context.Background())
 	s := &Subscription{
 		db:           db,
 		goalSrc:      strings.TrimSpace(goal),
-		goal:         stripped,
-		rules:        parsed,
 		columns:      goalColumns(stripped.Atom),
 		windows:      windows,
 		opts:         opts,
-		wake:         make(chan struct{}, 1),
 		consumerWake: make(chan struct{}, 1),
-		pumpCtx:      ctx,
+		pumpCtx:      pumpCtx,
 		pumpCancel:   cancel,
 		done:         make(chan struct{}),
 		stamps:       make(map[object.OID]uint64),
 	}
+	s.m = maintained{db: db, goal: stripped, local: parsed,
+		in: intake{clock: len(windows) > 0, wake: make(chan struct{}, 1)}}
 
-	// Validate the assembled program now, so a bad goal or rule fails
-	// the subscribe call instead of killing the pump later.
-	prog, _ := db.slice(&s.slice, s.goal, s.rules)
-	if _, err := datalog.NewEngine(db.st, prog, db.engOpts...); err != nil {
-		cancel()
-		return nil, err
-	}
-
-	// Register and attach the changelog feed before the initial compute,
-	// so no acknowledged mutation slips between registration and the
-	// snapshot (same ordering as Materialize).
-	db.subFeed.Do(func() { db.st.Subscribe(db.onStoreEventSub) })
+	// Register and attach the changelog feed before the first run, so no
+	// acknowledged mutation slips between registration and the snapshot
+	// (same ordering as Materialize).
+	db.attachFeed()
 	db.subs.mu.Lock()
 	if db.subs.m == nil {
 		db.subs.m = make(map[uint64]*Subscription)
@@ -356,11 +331,37 @@ func (db *DB) SubscribeQuery(rules []string, goal string, opts SubOptions) (*Sub
 	s.id = db.subs.nextID
 	db.subs.m[s.id] = s
 	db.subs.mu.Unlock()
-	db.subs.opened.Add(1)
 
-	s.wake <- struct{}{} // prime the pump: first flush emits the snapshot
+	runCtx, cancelRun := s.budget(ctx)
+	defer cancelRun()
+	rows, err := s.start(runCtx)
+	if err != nil {
+		s.m.in.stop()
+		s.unregister()
+		close(s.done)
+		return nil, err
+	}
+	s.emitSnapshot(rows)
+	db.subs.opened.Add(1)
 	go s.pump()
 	return s, nil
+}
+
+// start runs the first evaluation and returns the first answer.
+func (s *Subscription) start(ctx context.Context) ([][]object.Value, error) {
+	if _, err := s.m.refresh(ctx, drained{}); err != nil {
+		return nil, err
+	}
+	s.recomps.Add(1)
+	return s.answer()
+}
+
+// budget bounds one maintenance pass by RefreshBudget, if set.
+func (s *Subscription) budget(ctx context.Context) (context.Context, context.CancelFunc) {
+	if s.opts.RefreshBudget > 0 {
+		return context.WithTimeout(ctx, s.opts.RefreshBudget)
+	}
+	return ctx, func() {}
 }
 
 // mentionsWindow reports whether the rule body uses the reserved window
@@ -438,76 +439,11 @@ func extractWindows(q parser.Query) (parser.Query, []windowSpec, error) {
 	return stripped, specs, nil
 }
 
-// onStoreEventSub queues an acknowledged store mutation for every live
-// subscription. Runs under the store's write lock: queue only.
-func (db *DB) onStoreEventSub(ev store.Event) {
-	db.subs.mu.Lock()
-	defer db.subs.mu.Unlock()
-	for _, s := range db.subs.m {
-		s.enqueue(ev)
-	}
-}
-
-func (s *Subscription) enqueue(ev store.Event) {
-	s.pendingMu.Lock()
-	defer s.pendingMu.Unlock()
-	if s.stopped {
-		return
-	}
-	switch ev.Kind {
-	case store.EventAddFact, store.EventDeleteFact:
-		if !s.reset {
-			if !s.filter.admitsFact(ev.Fact.Name) {
-				return
-			}
-			if len(s.pending) >= maxPendingEvents {
-				s.reset = true
-				s.pending = nil
-			} else {
-				s.pending = append(s.pending, ev)
-			}
-		}
-	case store.EventPutObject:
-		// Interval puts advance the windowed frame clock — retain the oid
-		// so the pump can stamp it. A slice that can read objects (class
-		// atoms, attribute operands) is invalidated wholesale; for an
-		// object-free one without a window the put changes nothing.
-		if len(s.windows) > 0 {
-			if len(s.framePuts) >= maxPendingEvents {
-				s.framePuts = s.framePuts[1:]
-				s.frameLost++
-			}
-			s.framePuts = append(s.framePuts, ev.OID)
-		}
-		if s.filter.admitsObjects() {
-			s.reset = true
-			s.pending = nil
-		} else if len(s.windows) == 0 {
-			return
-		}
-	case store.EventDeleteObject:
-		if !s.filter.admitsObjects() {
-			return
-		}
-		s.reset = true
-		s.pending = nil
-	default: // EventReset: the ingest history itself is gone
-		s.reset = true
-		s.clockReset = true
-		s.pending = nil
-		s.framePuts = nil
-		s.frameLost = 0
-	}
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
 // pump is the subscription's maintenance goroutine: wait for work,
 // respect the flush rate limit, flush.
 func (s *Subscription) pump() {
 	defer close(s.done)
+	defer s.unregister()
 	var lastFlush time.Time
 	var minGap time.Duration
 	if s.opts.MaxPerSec > 0 {
@@ -517,7 +453,7 @@ func (s *Subscription) pump() {
 		select {
 		case <-s.pumpCtx.Done():
 			return
-		case <-s.wake:
+		case <-s.m.in.wake:
 		}
 		if minGap > 0 && !lastFlush.IsZero() {
 			if wait := minGap - time.Since(lastFlush); wait > 0 {
@@ -538,30 +474,18 @@ func (s *Subscription) pump() {
 // flush drains the intake queue, refreshes the answer set, and emits the
 // resulting deltas. Returns false when the subscription should stop.
 func (s *Subscription) flush() bool {
-	// Drain.
-	s.pendingMu.Lock()
-	batch := s.pending
-	s.pending = nil
-	needReset := s.reset
-	s.reset = false
-	clockReset := s.clockReset
-	s.clockReset = false
-	puts := s.framePuts
-	s.framePuts = nil
-	lost := s.frameLost
-	s.frameLost = 0
-	s.pendingMu.Unlock()
+	d := s.m.in.drain()
 
 	// Advance the frame clock: each ingested generalized interval is one
 	// frame. Kind is resolved against the live store at drain time (the
 	// intake path may not touch the store); an object already deleted
 	// again simply never counted as a frame.
-	if clockReset {
+	if d.clockReset {
 		s.frames = 0
 		s.stamps = make(map[object.OID]uint64)
 	}
-	s.frames += lost
-	for _, oid := range puts {
+	s.frames += d.lost
+	for _, oid := range d.puts {
 		if o := s.db.st.Get(oid); o != nil && o.Kind() == object.GenInterval {
 			s.frames++
 			s.stamps[oid] = s.frames
@@ -569,91 +493,32 @@ func (s *Subscription) flush() bool {
 	}
 	s.pruneStamps()
 
-	prog, fp := s.db.slice(&s.slice, s.goal, s.rules)
-	full := s.eng == nil || needReset || s.tainted || fp != s.fingerprint
-	s.tainted = false
-
-	runCtx := s.pumpCtx
-	cancel := func() {}
-	if s.opts.RefreshBudget > 0 {
-		runCtx, cancel = context.WithTimeout(s.pumpCtx, s.opts.RefreshBudget)
-	}
+	runCtx, cancel := s.budget(s.pumpCtx)
 	defer cancel()
-
-	if !full {
-		ins, del, nIns, nDel := foldEvents(batch)
-		if nIns == 0 && nDel == 0 {
-			// Net no-op batch; only window aging can change visibility.
-			return s.emitChange(nil, nil)
-		}
-		if s.incremental {
-			plus, minus, err := s.eng.Apply(runCtx, ins, del)
-			if err == nil {
-				s.incrs.Add(1)
-				return s.emitChange(s.goalRows(plus), s.goalRows(minus))
-			}
-			if datalog.IsCanceled(err) {
-				return s.fail(err)
-			}
-			s.eng = nil // undefined after a failed Apply: recompute
-		}
-	}
-	return s.recompute(runCtx, prog, fp)
-}
-
-// recompute evaluates the slice from scratch into a new retained engine
-// and emits the change from the previous answer (a snapshot on the
-// first flush, or when no previous engine survives).
-//
-// The engine reads its facts under one store read lock and publishes
-// the new event filter there. For an object-free slice it also cuts the
-// pending queue there: events queued before the cut are in the run's
-// snapshot, later ones are exactly the next batch, so the engine stays
-// incremental under continuous ingest. A slice that reads objects reads
-// them lazily, after the cut; any event queued while it ran taints the
-// answer and the next flush recomputes.
-func (s *Subscription) recompute(ctx context.Context, prog datalog.Program, fp string) bool {
-	opts := append(append([]datalog.Option(nil), s.db.engOpts...), datalog.WithContext(ctx))
-	eng, err := datalog.NewEngine(s.db.st, prog, opts...)
+	r, err := s.m.refresh(runCtx, d)
 	if err != nil {
 		return s.fail(err)
 	}
-	objects := eng.ReadsObjects()
-	filter := newSliceFilter(prog, s.goal.Atom.Pred, objects)
-	cut := func() {
-		s.pendingMu.Lock()
-		s.filter = filter
-		if !objects {
-			s.pending = nil
-			s.reset = false
-		}
-		s.pendingMu.Unlock()
-	}
-	if err := eng.RunAt(cut); err != nil {
-		return s.fail(err)
+	switch r.mode {
+	case ViewCached:
+		// Net no-op batch; only window aging can change visibility.
+		return s.emitChange(nil, nil)
+	case ViewIncremental:
+		s.incrs.Add(1)
+		return s.emitChange(s.goalRows(r.plus), s.goalRows(r.minus))
 	}
 	s.recomps.Add(1)
-	if objects {
-		//videolint:ignore lockcheck deliberate two-phase flush: events racing the engine run set tainted and force the next flush to recompute
-		s.pendingMu.Lock()
-		s.tainted = len(s.pending) > 0 || s.reset
-		s.pendingMu.Unlock()
-	}
-
-	prev := s.eng
-	s.eng, s.fingerprint = eng, fp
-	s.incremental = prog.SupportsIncremental() && isIDBPred(prog, s.goal.Atom.Pred)
 	next, err := s.answer()
 	if err != nil {
 		return s.fail(err)
 	}
-	if prev == nil || s.nextSeq == 0 {
-		return s.emitSnapshot(next)
+	if r.prev == nil {
+		return s.emitSnapshot(next) // the previous answer was lost
 	}
 	if len(s.windows) > 0 {
 		return s.emitVisible(next)
 	}
-	old, err := answerOf(prev, s.goal.Atom)
+	old, err := answerOf(r.prev, s.m.goal.Atom)
 	if err != nil {
 		return s.fail(err)
 	}
@@ -664,7 +529,7 @@ func (s *Subscription) recompute(ctx context.Context, prog datalog.Program, fp s
 // answer is the retained engine's current visible answer, in answer
 // order.
 func (s *Subscription) answer() ([][]object.Value, error) {
-	rows, err := answerOf(s.eng, s.goal.Atom)
+	rows, err := answerOf(s.m.eng, s.m.goal.Atom)
 	if err != nil || len(s.windows) == 0 {
 		return rows, err
 	}
@@ -677,32 +542,18 @@ func (s *Subscription) answer() ([][]object.Value, error) {
 	return vis, nil
 }
 
-// answerOf reads an engine's answer to the goal, in answer order (the
-// canonical order of Engine.Query).
-func answerOf(eng *datalog.Engine, goal datalog.RelAtom) ([][]object.Value, error) {
-	res, err := eng.Query(goal)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([][]object.Value, len(res))
-	for i, r := range res {
-		rows[i] = r.Values
-	}
-	return rows, nil
-}
-
 // goalRows turns the goal predicate's entry of an Apply net change into
 // answer rows, in answer order: a goal with constants or repeated
 // variables keeps the tuples that unify with it, projected onto its
 // columns, as Engine.Query does. The projection is injective (constants
 // are fixed, repeated variables equal), so net tuples stay net rows.
 func (s *Subscription) goalRows(ext datalog.Extension) [][]object.Value {
-	tuples := ext[s.goal.Atom.Pred]
+	tuples := ext[s.m.goal.Atom.Pred]
 	if len(tuples) == 0 {
 		return nil
 	}
-	args := s.goal.Atom.Args
-	distinct := s.goal.Atom.DistinctVars()
+	args := s.m.goal.Atom.Args
+	distinct := s.m.goal.Atom.DistinctVars()
 	rows := make([][]object.Value, 0, len(tuples))
 tuple:
 	for _, t := range tuples {
@@ -828,7 +679,7 @@ func (s *Subscription) emit(plus, minus [][]object.Value) bool {
 		// Drop-resync: the backlog (and the rest of this change) is
 		// replaced by one fresh snapshot.
 		var rows [][]object.Value
-		if s.eng != nil {
+		if s.m.eng != nil {
 			var err error
 			if rows, err = s.answer(); err != nil {
 				s.closeLocked(fmt.Errorf("core: subscription maintenance failed: %w", err))
@@ -1094,11 +945,20 @@ func (s *Subscription) closeWith(err error) {
 	s.qmu.Lock()
 	s.closeLocked(err)
 	s.qmu.Unlock()
+	s.unregister()
+}
+
+// unregister removes the subscription from the DB's registry and stops
+// its pump. Idempotent.
+func (s *Subscription) unregister() {
+	s.db.subs.mu.Lock()
+	delete(s.db.subs.m, s.id)
+	s.db.subs.mu.Unlock()
 	s.pumpCancel()
 }
 
-// closeLocked marks the subscription closed and unregisters it. Caller
-// holds qmu.
+// closeLocked marks the subscription closed and stops its intake; the
+// pump unregisters it on exit. Caller holds qmu.
 func (s *Subscription) closeLocked(err error) {
 	if s.closed {
 		return
@@ -1109,19 +969,7 @@ func (s *Subscription) closeLocked(err error) {
 	}
 	s.closeErr = err
 	s.wakeConsumerLocked()
-	s.pendingMu.Lock()
-	s.stopped = true
-	s.pending, s.framePuts = nil, nil
-	s.pendingMu.Unlock()
-	db := s.db
-	go func() {
-		// Unregister outside qmu: the event fan-out takes subs.mu then
-		// pendingMu, never qmu, so this ordering only avoids surprises.
-		db.subs.mu.Lock()
-		delete(db.subs.m, s.id)
-		db.subs.mu.Unlock()
-		s.pumpCancel()
-	}()
+	s.m.in.stop()
 }
 
 // Done is closed when the pump goroutine has exited.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"videodb/internal/datalog"
 	"videodb/internal/interval"
 	"videodb/internal/object"
 	"videodb/internal/parser"
@@ -715,6 +717,28 @@ func TestStandingSliceRecomputes(t *testing.T) {
 		if got := sub.Stats().Recomputes - sub0.Recomputes; got != st.want {
 			t.Errorf("%s: subscription recomputed %d times, want %d", st.name, got, st.want)
 		}
+	}
+}
+
+// A subscription whose caller is already gone is never registered: the
+// call returns the cancellation, and no subscription or pump is left.
+func TestSubscribeCancelledContextRegistersNothing(t *testing.T) {
+	db := closureDB(t)
+	defer db.Close()
+	if err := db.Relate("edge", "a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sub, err := db.SubscribeQueryContext(ctx, nil, "?- reach(X, Y)", SubOptions{})
+	if !errors.Is(err, context.Canceled) || !datalog.IsCanceled(err) {
+		t.Fatalf("SubscribeQueryContext under a cancelled ctx: sub %v, err %v", sub, err)
+	}
+	if infos := db.Subscriptions(); len(infos) != 0 {
+		t.Fatalf("cancelled subscribe left %v registered", infos)
+	}
+	if st := db.SubscriptionStats(); st.Active != 0 || st.Opened != 0 {
+		t.Fatalf("cancelled subscribe counted: %+v", st)
 	}
 }
 

@@ -10,40 +10,25 @@ import (
 	"videodb/internal/datalog"
 	"videodb/internal/object"
 	"videodb/internal/parser"
-	"videodb/internal/store"
 )
 
-// Materialized views: a view is a named VideoQL goal whose answers are
-// computed once and then maintained against store mutations instead of
-// re-evaluated per read — the paper's workload (Section 6 queries asked
-// repeatedly over a slowly mutating annotation base) rarely needs a full
-// fixpoint per question.
+// Materialized views: a view is a named VideoQL goal whose answer is
+// maintained (maintained.go) and read by pull. A read refreshes the view
+// first, under the view's own mutex:
 //
-// Maintenance strategy, per read:
-//
-//   - cached: no relevant mutations since the last refresh — serve the
+//   - cached: no relevant mutation since the last read — serve the
 //     stored rows.
-//   - incremental: only fact mutations on predicates of the view's
-//     reachable slice arrived, and the slice is in the incrementally
-//     maintainable fragment (positive, non-constructive). The pending
-//     events fold to a net FactDelta and datalog.RunIncremental applies
-//     insertion semi-naive propagation plus DRed deletion, seeded from
-//     the previous extension.
-//   - recompute: anything else — object mutations when the slice can
-//     read objects (class atoms, attribute operands, ⊕; an object-free
-//     slice ignores object events, see sliceFilter), a store reset, a
-//     rule-set change (detected by fingerprinting the rendered reachable
-//     slice, the Vet-style schema snapshot), an overflowing event queue,
-//     or a slice outside the maintainable fragment.
+//   - incremental: only fact mutations on the slice's predicates arrived
+//     and the slice is in the maintainable fragment (positive,
+//     non-constructive): the retained engine applies their net delta in
+//     place, and the read costs that delta, not the base.
+//   - recompute: anything else — an object mutation when the slice reads
+//     objects, a store reset, a rule-set or taxonomy change the slice can
+//     reach, an overflowing queue, a slice outside the fragment, or a
+//     previous refresh that failed.
 //
-// Events are queued by a store.Subscribe hook under the store's write
-// lock and drained under the view's own mutex at read time; a view read
-// therefore reflects every mutation acknowledged before the read
-// started. Reads of different views proceed independently.
-
-// maxPendingEvents bounds a view's event queue; overflow degrades to a
-// full recompute instead of unbounded memory growth.
-const maxPendingEvents = 4096
+// A read reflects every mutation acknowledged before it started. Reads
+// of different views proceed independently.
 
 type viewRegistry struct {
 	mu    sync.Mutex
@@ -53,29 +38,15 @@ type viewRegistry struct {
 type viewState struct {
 	name    string
 	goalSrc string
-	goal    parser.Query
+	columns []string
 
-	// mu serializes refreshes (and result reads) of this view.
+	// mu serializes refreshes (and result reads) of this view; it guards
+	// m's retained state and everything below. m's queue has its own lock.
 	mu sync.Mutex
+	m  maintained
 
-	// The event queue, guarded separately so store mutations delivering
-	// events never contend with a running refresh. filter is read by the
-	// delivery path and rebuilt by refreshes, so it lives under pendingMu
-	// too.
-	pendingMu sync.Mutex
-	pending   []store.Event
-	reset     bool // admitted object event, store reset, or overflow → recompute
-	filter    sliceFilter
-
-	// Materialized state, guarded by mu.
-	slice       standingSlice
-	valid       bool
-	fingerprint string
-	incremental bool // slice is maintainable and the goal is rule-defined
-	ext         datalog.Extension
-	columns     []string
-	rows        [][]object.Value
-	lastStats   datalog.RunStats
+	rows      [][]object.Value
+	lastStats datalog.RunStats
 
 	recomputes      uint64
 	incrementalRuns uint64
@@ -124,10 +95,11 @@ type ViewInfo struct {
 }
 
 // Materialize registers a named view over a VideoQL goal ("?-" optional;
-// conjunctive goals allowed) and computes it. On a computation error
-// (e.g. cancellation) the view stays registered but invalid, and the
-// next read retries. Rule definition must be serialized against view
-// reads, exactly as it must be against queries.
+// conjunctive goals allowed) and computes its first answer before it
+// returns. On a computation error (e.g. cancellation) the view stays
+// registered but invalid, and the next read retries. Rule definition
+// must be serialized against view reads, exactly as it must be against
+// queries.
 func (db *DB) Materialize(name, goal string) (*ViewResult, error) {
 	return db.MaterializeContext(context.Background(), name, goal)
 }
@@ -148,7 +120,7 @@ func (db *DB) MaterializeContext(ctx context.Context, name, goal string) (*ViewR
 	}
 	// Attach the changelog feed before registering, so no acknowledged
 	// mutation can slip between registration and the initial compute.
-	db.viewFeed.Do(func() { db.st.Subscribe(db.onStoreEvent) })
+	db.attachFeed()
 	db.views.mu.Lock()
 	if db.views.views == nil {
 		db.views.views = make(map[string]*viewState)
@@ -157,7 +129,12 @@ func (db *DB) MaterializeContext(ctx context.Context, name, goal string) (*ViewR
 		db.views.mu.Unlock()
 		return nil, fmt.Errorf("core: view %q already exists", name)
 	}
-	v := &viewState{name: name, goalSrc: strings.TrimSpace(goal), goal: q}
+	v := &viewState{
+		name:    name,
+		goalSrc: strings.TrimSpace(goal),
+		columns: goalColumns(q.Atom),
+		m:       maintained{db: db, goal: q},
+	}
 	db.views.views[name] = v
 	db.views.mu.Unlock()
 	return db.refreshView(ctx, v)
@@ -169,10 +146,12 @@ func (db *DB) View(name string) (*ViewResult, error) {
 	return db.ViewContext(context.Background(), name)
 }
 
-// ViewContext is View under a context: cancellation mid-maintenance
-// returns an error matching datalog.ErrCanceled and leaves the view at
-// its previous consistent state; the interrupted batch is re-queued and
-// applied by the next read.
+// ViewContext is View under a context. Cancellation returns an error
+// matching datalog.ErrCanceled. A ctx already cancelled when the read has
+// work to do re-queues the batch without touching the retained engine,
+// and the next read applies it. A cancellation mid-Apply (or mid-run)
+// discards the retained engine; the view's last rows stay as they were,
+// and the next read recomputes.
 func (db *DB) ViewContext(ctx context.Context, name string) (*ViewResult, error) {
 	release, err := db.enter(ctx)
 	if err != nil {
@@ -211,243 +190,66 @@ func (db *DB) Views() []ViewInfo {
 	out := make([]ViewInfo, len(states))
 	for i, v := range states {
 		v.mu.Lock()
-		v.pendingMu.Lock()
+		v.m.in.mu.Lock()
 		out[i] = ViewInfo{
 			Name:            v.name,
 			Goal:            v.goalSrc,
-			Valid:           v.valid,
+			Valid:           v.m.eng != nil,
 			Rows:            len(v.rows),
-			Pending:         len(v.pending),
+			Pending:         len(v.m.in.pending),
 			LastMode:        v.lastMode,
 			Recomputes:      v.recomputes,
 			IncrementalRuns: v.incrementalRuns,
 			CacheHits:       v.cacheHits,
 		}
-		v.pendingMu.Unlock()
+		v.m.in.mu.Unlock()
 		v.mu.Unlock()
 	}
 	return out
-}
-
-// onStoreEvent queues an acknowledged store mutation for every view. It
-// runs under the store's write lock (see the changelog contract), so it
-// must only queue — never read the store or run maintenance.
-func (db *DB) onStoreEvent(ev store.Event) {
-	db.views.mu.Lock()
-	defer db.views.mu.Unlock()
-	for _, v := range db.views.views {
-		v.enqueue(ev)
-	}
-}
-
-func (v *viewState) enqueue(ev store.Event) {
-	v.pendingMu.Lock()
-	defer v.pendingMu.Unlock()
-	switch ev.Kind {
-	case store.EventAddFact, store.EventDeleteFact:
-		if v.reset {
-			return // a recompute is owed anyway
-		}
-		if !v.filter.admitsFact(ev.Fact.Name) {
-			return
-		}
-		if len(v.pending) >= maxPendingEvents {
-			v.reset = true
-			v.pending = nil
-			return
-		}
-		v.pending = append(v.pending, ev)
-	case store.EventPutObject, store.EventDeleteObject:
-		if !v.filter.admitsObjects() {
-			return
-		}
-		v.reset = true
-		v.pending = nil
-	default: // EventReset
-		v.reset = true
-		v.pending = nil
-	}
-}
-
-// standingSlice is a standing goal's (a view's or a subscription's)
-// reachable rule slice and its fingerprint — the rendered slice, which
-// changes exactly when a rule-set or taxonomy change touches a rule the
-// goal can reach — with the definition versions it was built at.
-type standingSlice struct {
-	built   bool
-	progVer uint64
-	taxVer  uint64
-	prog    datalog.Program
-	fp      string
-}
-
-// slice returns the reachable rule slice of a standing goal (database
-// rules + taxonomy + the goal's local rules + the goal rule) and its
-// fingerprint. It rebuilds them into c only when the rules or the
-// taxonomy have moved since c was built; the caller owns c.
-func (db *DB) slice(c *standingSlice, goal parser.Query, local []datalog.Rule) (datalog.Program, string) {
-	db.defMu.RLock()
-	defer db.defMu.RUnlock()
-	progVer, taxVer := db.progVer, db.taxonomy.Version()
-	if c.built && c.progVer == progVer && c.taxVer == taxVer {
-		return c.prog, c.fp
-	}
-	rules := append([]datalog.Rule(nil), db.rules...)
-	rules = append(rules, db.taxonomy.Rules()...)
-	rules = append(rules, local...)
-	if goal.Rule != nil {
-		rules = append(rules, *goal.Rule)
-	}
-	prog := datalog.NewProgram(rules...).Reachable(goal.Atom.Pred)
-	var fp strings.Builder
-	for _, r := range prog.Rules {
-		fp.WriteString(r.String())
-		fp.WriteByte('\n')
-	}
-	fp.WriteString("?- ")
-	fp.WriteString(goal.Atom.String())
-	*c = standingSlice{built: true, progVer: progVer, taxVer: taxVer, prog: prog, fp: fp.String()}
-	return c.prog, c.fp
-}
-
-func (db *DB) viewEngine(ctx context.Context, prog datalog.Program) (*datalog.Engine, error) {
-	opts := db.engOpts
-	if ctx != nil && ctx != context.Background() {
-		opts = append(append([]datalog.Option(nil), opts...), datalog.WithContext(ctx))
-	}
-	return datalog.NewEngine(db.st, prog, opts...)
 }
 
 // refreshView brings the view up to date and returns a read snapshot.
 func (db *DB) refreshView(ctx context.Context, v *viewState) (*ViewResult, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-
-	prog, fp := db.slice(&v.slice, v.goal, nil)
-
-	// Drain the pending mutations this refresh will cover.
-	v.pendingMu.Lock()
-	batch := v.pending
-	v.pending = nil
-	needReset := v.reset
-	v.reset = false
-	v.pendingMu.Unlock()
-
-	// requeue puts an unapplied batch back at the front of the queue so
-	// a cancelled maintenance pass loses nothing.
-	requeue := func() {
-		v.pendingMu.Lock()
-		if needReset {
-			v.reset = true
-		}
-		v.pending = append(append([]store.Event(nil), batch...), v.pending...)
-		v.pendingMu.Unlock()
+	r, err := v.m.refresh(ctx, v.m.in.drain())
+	if err != nil {
+		return nil, err
 	}
-
-	full := !v.valid || needReset || fp != v.fingerprint
-	var (
-		eng      *datalog.Engine
-		mode     ViewMode
-		ins, del datalog.FactDelta
-		nIns     int
-		nDel     int
-	)
-	if !full {
-		if len(batch) == 0 {
-			v.cacheHits++
-			v.lastMode = ViewCached
-			return v.snapshot(ViewCached, 0, 0), nil
-		}
-		ins, del, nIns, nDel = foldEvents(batch)
-		if nIns == 0 && nDel == 0 {
-			// The batch nets out to nothing (e.g. add then delete).
-			v.cacheHits++
-			v.lastMode = ViewCached
-			return v.snapshot(ViewCached, 0, 0), nil
-		}
-		if !v.incremental {
-			// Relevant mutations arrived but the slice is outside the
-			// maintainable fragment: recompute. (Idle reads above still
-			// serve the cache — non-maintainable only costs on change.)
-			full = true
-		}
+	if r.mode == ViewCached {
+		v.cacheHits++
+		v.lastMode = ViewCached
+		return v.snapshot(ViewCached, 0, 0), nil
 	}
-	if !full {
-		var err error
-		eng, err = db.viewEngine(ctx, prog)
-		if err != nil {
-			//videolint:ignore lockcheck requeue is a local closure that only re-queues the batch under pendingMu; it cannot block or re-enter v.mu
-			requeue()
-			return nil, err
-		}
-		if err = eng.RunIncremental(v.ext, ins, del); err != nil {
-			if datalog.IsCanceled(err) {
-				// The previous extension is untouched (the engine is
-				// private); re-queue the batch for the next read.
-				requeue()
-				return nil, err
-			}
-			// Unexpected incremental failure: fall through to a full
-			// recompute, which needs no event bookkeeping.
-			full = true
-		} else {
-			mode = ViewIncremental
-		}
+	rows, err := v.answer()
+	if err != nil {
+		v.m.eng = nil
+		return nil, err
 	}
-	if full {
-		var err error
-		eng, err = db.viewEngine(ctx, prog)
-		if err != nil {
-			requeue()
-			return nil, err
-		}
-		if err = eng.Run(); err != nil {
-			// Leave the view invalid: the next read recomputes from
-			// scratch (the dropped batch is subsumed by the recompute).
-			v.valid = false
-			return nil, err
-		}
-		mode = ViewRecompute
-		nIns, nDel = 0, 0
-	}
-
-	v.ext = eng.Extensions()
-	rows, direct := v.ext[v.goal.Atom.Pred]
-	if !direct || !v.goal.Atom.DistinctVars() {
-		// The goal filters (constants, repeated variables) or targets an
-		// extensional predicate: extract through the engine's query path.
-		res, err := eng.Query(v.goal.Atom)
-		if err != nil {
-			v.valid = false
-			return nil, err
-		}
-		rows = make([][]object.Value, len(res))
-		for i, r := range res {
-			rows[i] = r.Values
-		}
-	}
-
-	v.fingerprint = fp
-	v.incremental = prog.SupportsIncremental() && isIDBPred(prog, v.goal.Atom.Pred)
-	v.columns = goalColumns(v.goal.Atom)
 	v.rows = rows
-	v.lastStats = eng.Stats()
-	v.valid = true
-	v.lastMode = mode
-	if mode == ViewIncremental {
+	v.lastStats = v.m.eng.Stats()
+	v.lastMode = r.mode
+	if r.mode == ViewIncremental {
 		v.incrementalRuns++
 	} else {
 		v.recomputes++
 	}
+	return v.snapshot(r.mode, r.nIns, r.nDel), nil
+}
 
-	// Publish the event filter for the delivery path.
-	filter := newSliceFilter(prog, v.goal.Atom.Pred, eng.ReadsObjects())
-	//videolint:ignore lockcheck deliberate split: publishing the event filter; events racing the build stay queued and trigger the next flush
-	v.pendingMu.Lock()
-	v.filter = filter
-	v.pendingMu.Unlock()
-
-	return v.snapshot(mode, nIns, nDel), nil
+// answer reads the retained engine's answer. A goal of distinct
+// variables over a derived predicate is the relation itself, in no
+// particular order; a goal that filters (constants, repeated variables)
+// or names an extensional predicate goes through the engine's query path.
+// Caller holds v.mu.
+func (v *viewState) answer() ([][]object.Value, error) {
+	goal := v.m.goal.Atom
+	if goal.DistinctVars() {
+		if rows, ok := v.m.eng.Tuples(goal.Pred); ok {
+			return rows, nil
+		}
+	}
+	return answerOf(v.m.eng, goal)
 }
 
 // snapshot builds a read result from the current materialized state.
@@ -462,95 +264,6 @@ func (v *viewState) snapshot(mode ViewMode, ins, del int) *ViewResult {
 		AppliedDeletes: del,
 		Stats:          v.lastStats,
 	}
-}
-
-// foldEvents reduces an in-order event batch to net fact deltas. Events
-// fire only on actual change, so per fact key the kinds alternate; the
-// net effect is the first kind iff it equals the last, else nothing.
-func foldEvents(batch []store.Event) (ins, del datalog.FactDelta, nIns, nDel int) {
-	type slot struct {
-		first, last store.EventKind
-		fact        store.Fact
-	}
-	var order []string
-	slots := make(map[string]*slot)
-	for _, ev := range batch {
-		k := ev.Fact.Key()
-		s := slots[k]
-		if s == nil {
-			s = &slot{first: ev.Kind, fact: ev.Fact}
-			slots[k] = s
-			order = append(order, k)
-		}
-		s.last = ev.Kind
-	}
-	ins, del = make(datalog.FactDelta), make(datalog.FactDelta)
-	for _, k := range order {
-		s := slots[k]
-		if s.first != s.last {
-			continue
-		}
-		if s.first == store.EventAddFact {
-			ins[s.fact.Name] = append(ins[s.fact.Name], s.fact.Args)
-			nIns++
-		} else {
-			del[s.fact.Name] = append(del[s.fact.Name], s.fact.Args)
-			nDel++
-		}
-	}
-	return ins, del, nIns, nDel
-}
-
-// sliceFilter says which store events can change a maintained query's
-// answer; views and subscriptions publish one after each build. Fact
-// events count on the predicates of the reachable slice. Object puts and
-// deletes count only when the slice can read objects
-// (datalog.Engine.ReadsObjects): an object-free slice, such as a
-// relation over stored references, cannot see them — a dangling
-// reference simply never joins. The zero value, before the first build,
-// admits every event.
-type sliceFilter struct {
-	preds   map[string]bool
-	objects bool
-}
-
-func newSliceFilter(prog datalog.Program, goal string, readsObjects bool) sliceFilter {
-	return sliceFilter{preds: relevantPreds(prog, goal), objects: readsObjects}
-}
-
-// admitsFact reports whether a fact event on pred can change the answer.
-func (f sliceFilter) admitsFact(pred string) bool { return f.preds == nil || f.preds[pred] }
-
-// admitsObjects reports whether an object put or delete can change the
-// answer.
-func (f sliceFilter) admitsObjects() bool { return f.preds == nil || f.objects }
-
-// relevantPreds collects every predicate mentioned in the slice (heads
-// and relational body atoms, negated included) plus the goal predicate:
-// fact events elsewhere cannot affect the view.
-func relevantPreds(prog datalog.Program, goal string) map[string]bool {
-	out := map[string]bool{goal: true}
-	for _, r := range prog.Rules {
-		out[r.Head.Pred] = true
-		for _, l := range r.Body {
-			switch a := l.(type) {
-			case datalog.RelAtom:
-				out[a.Pred] = true
-			case datalog.NotAtom:
-				out[a.Atom.Pred] = true
-			}
-		}
-	}
-	return out
-}
-
-func isIDBPred(prog datalog.Program, pred string) bool {
-	for _, r := range prog.Rules {
-		if r.Head.Pred == pred {
-			return true
-		}
-	}
-	return false
 }
 
 // goalColumns mirrors runQuery's column extraction: goal variables in

@@ -6,11 +6,14 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"videodb/internal/datalog"
 	"videodb/internal/interval"
 	"videodb/internal/object"
+	"videodb/internal/store"
+	"videodb/internal/store/segment"
 )
 
 // rowsKey flattens a result row set into a canonical sorted form for
@@ -216,6 +219,87 @@ func TestViewObjectFreeSliceIgnoresObjects(t *testing.T) {
 	want("interval delete alone", ViewCached)
 }
 
+// countingBackend counts the store's reads of stored facts: scans
+// (Facts included) and fact counts.
+type countingBackend struct {
+	store.Backend
+	reads atomic.Int64
+}
+
+func (b *countingBackend) ScanFacts(name string, binds []store.ArgBind, fn func(store.Fact) bool) {
+	b.reads.Add(1)
+	b.Backend.ScanFacts(name, binds, fn)
+}
+
+func (b *countingBackend) FactCount(name string) int {
+	b.reads.Add(1)
+	return b.Backend.FactCount(name)
+}
+
+// viewDeltaRead materializes costar over facts appears_with facts on a
+// segment store that counts its fact reads, then adds one fact and
+// returns the view read that maintains it and the fact reads it made.
+func viewDeltaRead(t *testing.T, facts int) (*ViewResult, int64) {
+	t.Helper()
+	b, err := segment.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := &countingBackend{Backend: b}
+	st, err := store.OpenBackend(cb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := New(WithStore(st))
+	t.Cleanup(func() { db.Close() })
+	for _, r := range costarRules {
+		if err := db.DefineRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < facts; i++ {
+		if err := db.Relate("appears_with", objOID("p", i%50), objOID("q", i/50), objOID("s", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Materialize("co", "?- costar(X, Y, S)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Relate("appears_with", "x", "y", "hop"); err != nil {
+		t.Fatal(err)
+	}
+	before := cb.reads.Load()
+	vr, err := db.View("co")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vr, cb.reads.Load() - before
+}
+
+// A view keeps its engine, so a read after a one-fact batch applies that
+// delta and nothing else: it reads no stored fact, and its stats are the
+// same over 1k and 10k base facts. (Re-seeding a fresh engine per read
+// reloads every extent.)
+func TestViewDeltaReadSkipsBase(t *testing.T) {
+	var stats []datalog.RunStats
+	for _, facts := range []int{1_000, 10_000} {
+		vr, reads := viewDeltaRead(t, facts)
+		if vr.Mode != ViewIncremental || vr.AppliedInserts != 1 {
+			t.Fatalf("%d facts: mode %s, +%d, want incremental, +1", facts, vr.Mode, vr.AppliedInserts)
+		}
+		if reads != 0 {
+			t.Fatalf("%d facts: the delta read made %d fact reads, want 0", facts, reads)
+		}
+		if len(vr.Rows) != 2*facts+2 {
+			t.Fatalf("%d facts: %d rows, want %d", facts, len(vr.Rows), 2*facts+2)
+		}
+		stats = append(stats, vr.Stats)
+	}
+	if stats[0] != stats[1] {
+		t.Fatalf("delta read stats moved with the base: %+v at 1k facts, %+v at 10k", stats[0], stats[1])
+	}
+}
+
 // A view whose slice reads objects — a class atom, an attribute guard —
 // still recomputes on an interval Put or Delete.
 func TestViewObjectReadingSliceRecomputes(t *testing.T) {
@@ -408,6 +492,51 @@ func TestViewCancellationLeavesViewIntact(t *testing.T) {
 	}
 	if vr2.Mode != ViewRecompute || len(vr2.Rows) != 6 {
 		t.Fatalf("recovered initial build: mode %s rows %d", vr2.Mode, len(vr2.Rows))
+	}
+}
+
+// passesThen is a context whose Err reports nil for its first n calls
+// and context.Canceled after: it cancels a refresh after the pre-check,
+// inside Apply.
+type passesThen struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *passesThen) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A cancellation inside Apply leaves the retained engine undefined: the
+// read fails, the engine is discarded, and the next read recomputes the
+// right answer.
+func TestViewCancelledMidApplyRecomputes(t *testing.T) {
+	db := closureDB(t)
+	for _, e := range [][2]string{{"a", "b"}, {"b", "c"}} {
+		if err := db.Relate("edge", object.OID(e[0]), object.OID(e[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Materialize("v", "?- reach(X, Y)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Relate("edge", "c", "d"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := &passesThen{Context: context.Background()}
+	ctx.n.Store(1)
+	if _, err := db.ViewContext(ctx, "v"); !datalog.IsCanceled(err) {
+		t.Fatalf("cancelled inside Apply: got %v, want cancellation", err)
+	}
+	if infos := db.Views(); len(infos) != 1 || infos[0].Valid {
+		t.Fatalf("after a failed Apply the view should hold no engine: %+v", infos)
+	}
+	vr := assertViewMatchesQuery(t, db, "v", "?- reach(X, Y)", "after mid-Apply cancellation")
+	if vr.Mode != ViewRecompute || len(vr.Rows) != 6 {
+		t.Fatalf("next read: mode %s, %d rows, want recompute, 6", vr.Mode, len(vr.Rows))
 	}
 }
 

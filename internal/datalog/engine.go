@@ -151,9 +151,9 @@ type Engine struct {
 	// a map lookup per firing.
 	curRel *relation
 
-	// ran records that runOnce has been consumed (by Run, RunAt or
-	// RunIncremental), distinguishing "already evaluated" from "evaluated
-	// with a nil error" for RunIncremental's misuse check.
+	// ran records that runOnce has been consumed (by Run or RunAt),
+	// distinguishing "never evaluated" from "evaluated with a nil error"
+	// for Apply's misuse check.
 	ran bool
 
 	// In-place maintenance (Apply, see incremental.go). together records

@@ -11,8 +11,7 @@ import (
 // Incremental maintenance brings an engine's relations from the fixpoint
 // of one database to the fixpoint after a net batch of extensional fact
 // changes, without recomputing from scratch. Apply does it in place on
-// an engine that has already run; RunIncremental does it on a fresh
-// engine seeded with a previous run's extension. Both run one body:
+// an engine that has already run with RunAt:
 //
 //   - Deletions use delete-and-rederive (DRed). An over-deletion pass
 //     marks every tuple with a derivation through a deleted fact
@@ -32,24 +31,23 @@ import (
 // this is sound for: positive (negation-free) and non-constructive —
 // exactly the monotone fragment where the fixpoint is determined by the
 // EDB and DRed's over-delete/rederive theorem applies. Callers fall back
-// to a full recompute otherwise (core.DB.Materialize does this
-// automatically).
+// to a full recompute otherwise (core's maintained views and
+// subscriptions do this automatically).
 
-// Extension is the materialized extension of a run's IDB predicates:
-// predicate name to tuples, in no particular order. The tuples are
-// shared, not copied — treat them as immutable.
+// Extension maps IDB predicates to tuples, in no particular order: the
+// net change Apply reports. The tuples are shared, not copied — treat
+// them as immutable.
 type Extension map[string][][]object.Value
 
 // FactDelta maps predicate names to tuples of extensional facts added or
-// removed since the extension was computed. Deltas must be net: a fact
-// both added and removed since must appear in neither map, an inserted
-// fact must be new and a deleted one present — relative to the facts the
-// engine last saw (for RunIncremental: the store it reads, minus the
-// inserts, plus the deletes).
+// removed since the engine last saw the store. Deltas must be net: a
+// fact both added and removed since must appear in neither map, an
+// inserted fact must be new and a deleted one present — relative to the
+// facts the engine last saw.
 type FactDelta map[string][][]object.Value
 
 // SupportsIncremental reports whether the program is in the fragment
-// RunIncremental maintains: positive (no negation) and non-constructive
+// Apply maintains: positive (no negation) and non-constructive
 // (no ⊕ in rule heads). Such programs are monotone in the EDB, which is
 // what delete-and-rederive requires; they also always stratify into the
 // single stratum 0.
@@ -67,79 +65,12 @@ func (p Program) SupportsIncremental() bool {
 	return true
 }
 
-// Extensions returns the extension of every IDB predicate. Call after
-// Run or RunIncremental has completed; the result is what a later engine
-// passes to RunIncremental as prior. The tuple slices are snapshots but
-// the tuples themselves are shared with the engine — do not mutate them.
-func (e *Engine) Extensions() Extension {
-	out := make(Extension, len(e.derived))
-	for pred, rel := range e.derived {
-		ext := make([][]object.Value, len(rel.rows))
-		for i, r := range rel.rows {
-			ext[i] = r
-		}
-		out[pred] = ext
-	}
-	return out
-}
-
-// RunIncremental computes the fixpoint of the engine's program over the
-// current store by maintaining prior — the Extensions() of a previous
-// run over the pre-batch store — against the net fact changes (ins,
-// del). It occupies the engine's single run slot: afterwards Query/Rows
-// serve the maintained extension, and a second Run or RunIncremental on
-// the same engine is an error. On error (including cancellation) the
-// relations are left in an undefined state; discard the engine.
-//
-// It seeds prior, loads the extents the plans read from the store (the
-// post-batch state) and shifts the changed ones back by the batch, then
-// runs the same maintenance body as Apply.
-func (e *Engine) RunIncremental(prior Extension, ins, del FactDelta) error {
-	called := false
-	e.runOnce.Do(func() {
-		called = true
-		e.ran = true
-		e.runErr = e.runGuarded(func() error { return e.runIncremental(prior, ins, del) })
-	})
-	if !called {
-		return fmt.Errorf("datalog: RunIncremental on an engine that already ran (each engine evaluates once)")
-	}
-	return e.runErr
-}
-
-func (e *Engine) runIncremental(prior Extension, ins, del FactDelta) error {
-	if err := e.maintainable(); err != nil {
-		return err
-	}
-	e.snapshotEDB()
-	// Re-materialize the prior extension (it already contains the seeded
-	// extensional facts of IDB predicates). Tuples are shared with the
-	// prior run, not copied: relations never mutate a tuple in place, so
-	// aliasing is safe.
-	for pred, rel := range e.derived {
-		for _, t := range prior[pred] {
-			rel.seed(row(t))
-		}
-	}
-	e.st.ReadTogether(func(r store.Reader) {
-		e.src = r
-		e.loadBase()
-		e.loadExtents()
-		e.src = e.st
-	})
-	e.together = true
-	insRows, delRows := deltaRows(ins), deltaRows(del)
-	e.shiftEDB(delRows, insRows) // back to the database prior was computed from
-	_, _, err := e.applyBatch(insRows, delRows)
-	return err
-}
-
 // Apply maintains an engine that has already run in place: it brings the
 // relations from the fixpoint over the facts the engine last saw to the
 // fixpoint after the net fact changes (ins, del), and returns the net
 // change of every IDB predicate — plus holds the tuples that entered,
-// minus those that left. The engine must have run with RunAt (or
-// RunIncremental), so its EDB caches hold every extent its plans read;
+// minus those that left. The engine must have run with RunAt, so its
+// EDB caches hold every extent its plans read;
 // Apply brings them to the post-batch state from the batch itself and
 // never reads the store's facts, so it cannot tear against concurrent
 // writers. Deltas must be net against that state (see FactDelta).
@@ -189,8 +120,7 @@ func (e *Engine) maintainable() error {
 // planKey names a plan incremental maintenance adds to a compiled rule.
 type planKey struct{ rule, delta int }
 
-// applyBatch is the one DRed body behind Apply and RunIncremental. On
-// entry the relations hold the fixpoint over the pre-batch facts, and the
+// applyBatch is Apply's DRed body. On entry the relations hold the fixpoint over the pre-batch facts, and the
 // EDB caches and base sets hold the pre-batch state.
 func (e *Engine) applyBatch(insRows, delRows map[string][]row) (plus, minus Extension, err error) {
 	e.compileIncPlans()
@@ -450,9 +380,8 @@ func (e *Engine) loadBase() {
 }
 
 // shiftEDB moves the EDB caches and the stored IDB facts by one batch:
-// the rows of drop leave, the rows of add enter, in place. Apply shifts
-// forward to the post-batch state; RunIncremental first shifts its
-// post-batch load backward to pin the pre-batch state.
+// the rows of drop leave, the rows of add enter, in place: Apply shifts
+// them to the post-batch state.
 func (e *Engine) shiftEDB(add, drop map[string][]row) {
 	shift := func(pred string, add, drop []row) {
 		if e.idb[pred] {

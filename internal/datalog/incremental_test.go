@@ -38,6 +38,24 @@ func runFull(t *testing.T, s *store.Store, p Program, opts ...Option) *Engine {
 	return e
 }
 
+// runAt evaluates the program with RunAt, so Apply can maintain it.
+func runAt(t *testing.T, s *store.Store, p Program, opts ...Option) *Engine {
+	t.Helper()
+	e := mustEngine(t, s, p, opts...)
+	if err := e.RunAt(nil); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// mustApply applies a net batch, failing the test on error.
+func mustApply(t *testing.T, e *Engine, ins, del FactDelta) {
+	t.Helper()
+	if _, _, err := e.Apply(context.Background(), ins, del); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // assertSameRows compares every IDB predicate of two engines.
 func assertSameRows(t *testing.T, p Program, got, want *Engine, label string) {
 	t.Helper()
@@ -75,17 +93,12 @@ func TestIncrementalInsertPropagates(t *testing.T) {
 	s.AddFact(edgeFact("b", "c"))
 	p := closureProgram()
 
-	prior := runFull(t, s, p).Extensions()
+	inc := runAt(t, s, p)
 
 	// Insert an edge that extends every chain: d closes c→d and opens
 	// transitive reach from a, b, c.
 	s.AddFact(edgeFact("c", "d"))
-	ins := FactDelta{"edge": {{object.Str("c"), object.Str("d")}}}
-
-	inc := mustEngine(t, s, p)
-	if err := inc.RunIncremental(prior, ins, nil); err != nil {
-		t.Fatal(err)
-	}
+	mustApply(t, inc, FactDelta{"edge": {{object.Str("c"), object.Str("d")}}}, nil)
 	assertSameRows(t, p, inc, runFull(t, s, p), "insert")
 
 	rows, err := inc.Rows("reach")
@@ -105,17 +118,12 @@ func TestIncrementalDeleteRederivesDiamond(t *testing.T) {
 		s.AddFact(edgeFact(e[0], e[1]))
 	}
 	p := closureProgram()
-	prior := runFull(t, s, p).Extensions()
+	inc := runAt(t, s, p)
 
 	if !s.DeleteFact(edgeFact("b", "d")) {
 		t.Fatal("delete failed")
 	}
-	del := FactDelta{"edge": {{object.Str("b"), object.Str("d")}}}
-
-	inc := mustEngine(t, s, p)
-	if err := inc.RunIncremental(prior, nil, del); err != nil {
-		t.Fatal(err)
-	}
+	mustApply(t, inc, nil, FactDelta{"edge": {{object.Str("b"), object.Str("d")}}})
 	assertSameRows(t, p, inc, runFull(t, s, p), "diamond delete")
 
 	res, err := inc.Query(Rel("reach", Const(object.Str("a")), Const(object.Str("d"))))
@@ -141,15 +149,10 @@ func TestIncrementalDeleteCascades(t *testing.T) {
 		s.AddFact(edgeFact(e[0], e[1]))
 	}
 	p := closureProgram()
-	prior := runFull(t, s, p).Extensions()
+	inc := runAt(t, s, p)
 
 	s.DeleteFact(edgeFact("a", "b"))
-	del := FactDelta{"edge": {{object.Str("a"), object.Str("b")}}}
-
-	inc := mustEngine(t, s, p)
-	if err := inc.RunIncremental(prior, nil, del); err != nil {
-		t.Fatal(err)
-	}
+	mustApply(t, inc, nil, FactDelta{"edge": {{object.Str("a"), object.Str("b")}}})
 	assertSameRows(t, p, inc, runFull(t, s, p), "cascade delete")
 
 	rows, err := inc.Rows("reach")
@@ -171,18 +174,14 @@ func TestIncrementalMixedBatch(t *testing.T) {
 		s.AddFact(edgeFact(e[0], e[1]))
 	}
 	p := closureProgram()
-	prior := runFull(t, s, p).Extensions()
+	inc := runAt(t, s, p)
 
 	s.DeleteFact(edgeFact("b", "c"))
 	s.AddFact(edgeFact("b", "e"))
 	s.AddFact(edgeFact("e", "c"))
 	ins := FactDelta{"edge": {{object.Str("b"), object.Str("e")}, {object.Str("e"), object.Str("c")}}}
 	del := FactDelta{"edge": {{object.Str("b"), object.Str("c")}}}
-
-	inc := mustEngine(t, s, p)
-	if err := inc.RunIncremental(prior, ins, del); err != nil {
-		t.Fatal(err)
-	}
+	mustApply(t, inc, ins, del)
 	assertSameRows(t, p, inc, runFull(t, s, p), "mixed batch")
 }
 
@@ -212,7 +211,7 @@ func TestIncrementalRandomOracle(t *testing.T) {
 			addRandom()
 		}
 
-		prior := runFull(t, s, p).Extensions()
+		inc := runAt(t, s, p)
 		before := make(map[[2]string]bool, len(present))
 		for e := range present {
 			before[e] = true
@@ -253,62 +252,67 @@ func TestIncrementalRandomOracle(t *testing.T) {
 			}
 		}
 
-		want := runFull(t, s, p)
-		inc := mustEngine(t, s, p)
-		if err := inc.RunIncremental(prior, ins, del); err != nil {
+		if _, _, err := inc.Apply(context.Background(), ins, del); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		assertSameRows(t, p, inc, want, fmt.Sprintf("seed %d", seed))
+		assertSameRows(t, p, inc, runFull(t, s, p), fmt.Sprintf("seed %d", seed))
 	}
 }
 
+// The incremental fragment's guards: programs with negation or a ⊕ head
+// run with RunAt but Apply refuses to maintain them, and a canceled
+// initial RunAt surfaces as ErrCanceled and leaves nothing to maintain.
 func TestRunIncrementalGuards(t *testing.T) {
 	s := store.New()
 	s.AddFact(edgeFact("a", "b"))
 	p := closureProgram()
 
-	// Second evaluation on the same engine is an error.
-	e := runFull(t, s, p)
-	if err := e.RunIncremental(e.Extensions(), nil, nil); err == nil {
-		t.Fatal("RunIncremental after Run should fail")
-	}
-
-	// Negation and constructive heads are outside the fragment.
+	// Negation and ⊕ heads are outside the fragment.
 	neg := NewProgram(
 		NewRule(Rel("lonely", Var("X")), Rel("edge", Var("X"), Var("Y")),
 			Not(Rel("edge", Var("Y"), Var("X")))),
 	)
-	if neg.SupportsIncremental() {
-		t.Fatal("negation reported as incrementally maintainable")
-	}
-	ne := mustEngine(t, s, neg)
-	if err := ne.RunIncremental(Extension{}, nil, nil); err == nil {
-		t.Fatal("RunIncremental accepted a program with negation")
+	cons := NewProgram(
+		NewRule(Rel("joined", Concat(Var("G1"), Var("G2"))),
+			Rel("edge", Var("G1"), Var("G2")), Interval(Var("G1")), Interval(Var("G2"))),
+	)
+	for _, out := range []struct {
+		label string
+		p     Program
+	}{{"negation", neg}, {"constructive head", cons}} {
+		if out.p.SupportsIncremental() {
+			t.Fatalf("%s reported as incrementally maintainable", out.label)
+		}
+		e := mustEngine(t, s, out.p)
+		if err := e.RunAt(nil); err != nil {
+			t.Fatalf("%s: %v", out.label, err)
+		}
+		if _, _, err := e.Apply(context.Background(), FactDelta{"edge": {{object.Str("b"), object.Str("a")}}}, nil); err == nil {
+			t.Fatalf("Apply accepted a program with a %s", out.label)
+		}
 	}
 
-	// Cancellation surfaces as ErrCanceled and poisons only this engine.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ce := mustEngine(t, s, p, WithContext(ctx))
-	err := ce.RunIncremental(Extension{}, nil, nil)
-	if !IsCanceled(err) {
+	if err := ce.RunAt(nil); !IsCanceled(err) {
 		t.Fatalf("want cancellation error, got %v", err)
+	}
+	if _, _, err := ce.Apply(context.Background(), nil, nil); err == nil {
+		t.Fatal("Apply accepted an engine whose RunAt was canceled")
 	}
 }
 
 func TestIncrementalQueryServesMaintainedExtension(t *testing.T) {
-	// After RunIncremental, Query and Rows must serve the maintained
-	// state exactly like a normal run's.
+	// After Apply, Query and Rows must serve the maintained state exactly
+	// like a normal run's.
 	s := store.New()
 	s.AddFact(edgeFact("a", "b"))
 	p := closureProgram()
-	prior := runFull(t, s, p).Extensions()
+	inc := runAt(t, s, p)
 
 	s.AddFact(edgeFact("b", "c"))
-	inc := mustEngine(t, s, p)
-	if err := inc.RunIncremental(prior, FactDelta{"edge": {{object.Str("b"), object.Str("c")}}}, nil); err != nil {
-		t.Fatal(err)
-	}
+	mustApply(t, inc, FactDelta{"edge": {{object.Str("b"), object.Str("c")}}}, nil)
 	res, err := inc.Query(Rel("reach", Const(object.Str("a")), Var("Y")))
 	if err != nil {
 		t.Fatal(err)

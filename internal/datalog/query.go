@@ -55,6 +55,23 @@ func (e *Engine) Rows(pred string) ([][]object.Value, error) {
 	return out, nil
 }
 
+// Tuples returns the derived relation of pred (its stored facts
+// included) in the relation's own order, and whether the program derives
+// pred at all. The slice is a copy; the tuples are shared with the
+// engine, which never mutates a tuple in place — treat them as
+// immutable. Call it after the run, never concurrently with Apply.
+func (e *Engine) Tuples(pred string) ([][]object.Value, bool) {
+	rel, ok := e.derived[pred]
+	if !ok {
+		return nil, false
+	}
+	out := make([][]object.Value, len(rel.rows))
+	for i, t := range rel.rows {
+		out[i] = t
+	}
+	return out, true
+}
+
 // Query answers a query ?q(s) (Definition 13): the pattern's constants
 // must match and its variables are projected out. Repeated variables in
 // the pattern enforce equality. Results are distinct tuples of the

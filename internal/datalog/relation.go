@@ -366,19 +366,6 @@ func (r *relation) proposeIDs(s row, sids []uint64) {
 	r.nextVids = append(r.nextVids, r.idChunk[iOff:len(r.idChunk):len(r.idChunk)])
 }
 
-// seed installs a tuple directly into the full extent without delta
-// bookkeeping — incremental maintenance re-materializing the extension
-// of a prior run (see incremental.go).
-func (r *relation) seed(t row) {
-	if !r.keys.addAt(t, len(r.rows)) {
-		return
-	}
-	r.rows = append(r.rows, t)
-	if r.interned() {
-		r.vids = append(r.vids, vidsOf(t))
-	}
-}
-
 // advance applies the round boundary: next becomes delta and joins the
 // full extent. The new proposal buffer is pre-sized from the delta it
 // replaces — the previous round's cardinality is the best available

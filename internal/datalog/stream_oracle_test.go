@@ -47,8 +47,8 @@ func TestStreamingMatchesMaterializing(t *testing.T) {
 }
 
 // TestStreamingIncrementalMatches runs randomized insert/delete batches
-// through RunIncremental in both execution modes and compares each
-// against a from-scratch fixpoint of the mutated store.
+// through Apply in both execution modes and compares each against a
+// from-scratch fixpoint of the mutated store.
 func TestStreamingIncrementalMatches(t *testing.T) {
 	p := NewProgram(
 		NewRule(Rel("reach", Var("X"), Var("Y")), Rel("edge", Var("X"), Var("Y"))),
@@ -73,11 +73,19 @@ func TestStreamingIncrementalMatches(t *testing.T) {
 				present[e] = true
 			}
 		}
-		// Both modes compute the same prior by construction (checked by
-		// the full oracle above); use the streaming one.
-		prior := mustEngine(t, s, p)
-		if err := prior.Run(); err != nil {
-			t.Fatal(err)
+		// Each mode runs on the pre-batch store and applies the batch in
+		// place.
+		modes := []struct {
+			label string
+			eng   *Engine
+		}{
+			{"streaming", mustEngine(t, s, p)},
+			{"materializing", mustEngine(t, s, p, WithoutStreaming())},
+		}
+		for _, mode := range modes {
+			if err := mode.eng.RunAt(nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 		before := make(map[[2]string]bool, len(present))
 		for e := range present {
@@ -107,18 +115,11 @@ func TestStreamingIncrementalMatches(t *testing.T) {
 
 		want := mustEngine(t, s, p)
 		wantExt, _, _ := fixpointOf(t, want, p)
-		for _, mode := range []struct {
-			label string
-			opts  []Option
-		}{
-			{"streaming", nil},
-			{"materializing", []Option{WithoutStreaming()}},
-		} {
-			inc := mustEngine(t, s, p, mode.opts...)
-			if err := inc.RunIncremental(prior.Extensions(), ins, del); err != nil {
+		for _, mode := range modes {
+			if _, _, err := mode.eng.Apply(context.Background(), ins, del); err != nil {
 				t.Fatalf("seed %d (%s): %v", seed, mode.label, err)
 			}
-			rows, err := inc.Rows("reach")
+			rows, err := mode.eng.Rows("reach")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,7 +15,7 @@ import (
 // sync.Mutex or sync.RWMutex is held; no RLock→Lock upgrade on the
 // same RWMutex; no nested acquisition that violates the declared
 // hierarchy store.Store.mu → core.subRegistry.mu → core.Subscription.qmu
-// → core.Subscription.pendingMu; no branch-divergent Lock/Unlock
+// → core.intake.mu; no branch-divergent Lock/Unlock
 // pairing; and no function that releases a write lock and re-acquires
 // it, splitting one logical critical section in two (the PR 7
 // store.Load race shape — state can change between the sections).
@@ -41,14 +41,14 @@ var LockCheck = &Analyzer{
 // increasing. Locks outside the table are unranked and exempt from the
 // hierarchy rule (blocking-operation rules still apply).
 var lockRanks = map[string]int{
-	"store.Store.mu":              0,
-	"core.subRegistry.mu":         1,
-	"core.Subscription.qmu":       2,
-	"core.Subscription.pendingMu": 3,
+	"store.Store.mu":        0,
+	"core.subRegistry.mu":   1,
+	"core.Subscription.qmu": 2,
+	"core.intake.mu":        3,
 }
 
 // lockHierarchyDoc renders the declared order for diagnostics.
-var lockHierarchyDoc = "store.Store.mu → core.subRegistry.mu → core.Subscription.qmu → core.Subscription.pendingMu"
+var lockHierarchyDoc = "store.Store.mu → core.subRegistry.mu → core.Subscription.qmu → core.intake.mu"
 
 type lockMode int
 

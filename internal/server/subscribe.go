@@ -19,7 +19,8 @@ import (
 )
 
 // Live subscriptions: the push counterpart of /v1/query. A standing
-// VideoQL goal is registered with core.DB.SubscribeQuery and its answer
+// VideoQL goal is registered with core.DB.SubscribeQueryContext, which
+// evaluates the snapshot before it returns, and its answer
 // deltas are delivered either over a Server-Sent Events stream
 // (GET /v1/subscribe) or to a webhook (POST /v1/subscribe).
 //
@@ -69,18 +70,21 @@ type subSession struct {
 	reap     *time.Timer // pending detach-grace reaper, nil when attached
 }
 
-// subRegistry tracks the server's sessions. Subscription IDs come from
+// serverSubs tracks the server's sessions. Subscription IDs come from
 // the core registry, so sessions and core subscriptions share keys.
+// webhooks counts the running webhook pumps, which Close waits for.
 type serverSubs struct {
 	mu       sync.Mutex
 	sessions map[uint64]*subSession
 	closed   bool
+	webhooks sync.WaitGroup
 }
 
 // Close stops every live subscription session (SSE handlers unblock and
-// finish, webhook senders stop) and refuses new ones. Call it before
-// http.Server.Shutdown: an open event stream otherwise keeps graceful
-// shutdown waiting forever.
+// finish, webhook senders stop) and refuses new ones. It cancels any
+// in-flight webhook POST and returns once every webhook pump has exited.
+// Call it before http.Server.Shutdown: an open event stream otherwise
+// keeps graceful shutdown waiting forever.
 func (s *Server) Close() {
 	if s.admission != nil {
 		// Queued waiters are rejected with 503; admitted work keeps its
@@ -107,9 +111,12 @@ func (s *Server) Close() {
 		ss.mu.Unlock()
 		ss.sub.Close()
 	}
+	s.subs.webhooks.Wait()
 }
 
-// register adds a session, or refuses if the server is closed.
+// registerSession adds a session, or refuses if the server is closed. A
+// webhook session's pump is counted here, under the lock Close takes
+// before it waits, so Close never misses one.
 func (s *Server) registerSession(ss *subSession) bool {
 	s.subs.mu.Lock()
 	defer s.subs.mu.Unlock()
@@ -120,6 +127,9 @@ func (s *Server) registerSession(ss *subSession) bool {
 		s.subs.sessions = make(map[uint64]*subSession)
 	}
 	s.subs.sessions[ss.id] = ss
+	if ss.kind == "webhook" {
+		s.subs.webhooks.Add(1)
+	}
 	return true
 }
 
@@ -342,11 +352,11 @@ func (s *Server) handleSubscribeSSE(w http.ResponseWriter, r *http.Request) {
 		// though the connection itself is exempt (see requestCtx).
 		opts.RefreshBudget = s.queryTimeout
 		s.mu.RLock()
-		sub, err := s.db.SubscribeQuery(q["rule"], goal, opts)
+		sub, err := s.db.SubscribeQueryContext(r.Context(), q["rule"], goal, opts)
 		s.mu.RUnlock()
 		if err != nil {
 			release()
-			writeError(w, http.StatusUnprocessableEntity, err)
+			writeError(w, statusFor(r, err), err)
 			return
 		}
 		ss = &subSession{id: sub.ID(), sub: sub, kind: "sse", goal: goal, attached: true}
@@ -481,8 +491,9 @@ func (s *Server) handleSubscribeWebhook(w http.ResponseWriter, r *http.Request) 
 	if req.Rate > 0 {
 		opts.MaxPerSec = req.Rate
 	}
-	// Registration evaluates the initial snapshot; admission applies. The
-	// delivery pump runs below the gate (maintenance, not request work).
+	// Registration evaluates the initial snapshot before it returns;
+	// admission applies. The delivery pump runs below the gate
+	// (maintenance, not request work).
 	release, ok := s.admit(w, r)
 	if !ok {
 		return
@@ -490,10 +501,10 @@ func (s *Server) handleSubscribeWebhook(w http.ResponseWriter, r *http.Request) 
 	defer release()
 	opts.RefreshBudget = s.queryTimeout
 	s.mu.RLock()
-	sub, err := s.db.SubscribeQuery(req.Rules, req.Goal, opts)
+	sub, err := s.db.SubscribeQueryContext(r.Context(), req.Rules, req.Goal, opts)
 	s.mu.RUnlock()
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
+		writeError(w, statusFor(r, err), err)
 		return
 	}
 	ss := &subSession{id: sub.ID(), sub: sub, kind: "webhook", goal: req.Goal, webhook: req.Webhook}
@@ -509,7 +520,10 @@ func (s *Server) handleSubscribeWebhook(w http.ResponseWriter, r *http.Request) 
 // deliverWebhook pumps subscription events to the session's endpoint.
 // Each event is retried with exponential backoff; webhookMaxConsecErr
 // events lost in a row closes the subscription (the endpoint is gone).
+// It runs once per registered webhook session and marks its pump done
+// on exit (see registerSession).
 func (s *Server) deliverWebhook(ss *subSession) {
+	defer s.subs.webhooks.Done()
 	client := &http.Client{Timeout: webhookTimeout}
 	consecFails := 0
 	for {
@@ -526,6 +540,10 @@ func (s *Server) deliverWebhook(ss *subSession) {
 			s.metrics.recordSubEvent(ev)
 			continue
 		}
+		if s.lifeCtx.Err() != nil {
+			s.dropSession(ss.id)
+			return
+		}
 		consecFails++
 		s.metrics.subWebhookDropped.Add(1)
 		if consecFails >= webhookMaxConsecErr {
@@ -537,7 +555,8 @@ func (s *Server) deliverWebhook(ss *subSession) {
 }
 
 // postWebhookEvent delivers one event with retry/backoff; it reports
-// whether any attempt succeeded (2xx).
+// whether any attempt succeeded (2xx). Close cancels an attempt in flight
+// and the backoff between attempts.
 func (s *Server) postWebhookEvent(client *http.Client, ss *subSession, ev core.SubEvent) bool {
 	body, err := json.Marshal(wireEvent(ss, ev))
 	if err != nil {
@@ -546,10 +565,19 @@ func (s *Server) postWebhookEvent(client *http.Client, ss *subSession, ev core.S
 	backoff := webhookBackoff
 	for attempt := 0; attempt < webhookAttempts; attempt++ {
 		if attempt > 0 {
-			time.Sleep(backoff)
+			select {
+			case <-s.lifeCtx.Done():
+				return false
+			case <-time.After(backoff):
+			}
 			backoff *= 2
 		}
-		resp, err := client.Post(ss.webhook, "application/json", bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(s.lifeCtx, http.MethodPost, ss.webhook, bytes.NewReader(body))
+		if err != nil {
+			return false
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := client.Do(req)
 		if err != nil {
 			s.metrics.subWebhookRetries.Add(1)
 			continue

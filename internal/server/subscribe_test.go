@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -616,6 +617,63 @@ func TestWebhookDelivery(t *testing.T) {
 	}
 	if !sawDelta {
 		t.Fatalf("no +delta delivered: %+v", events)
+	}
+}
+
+// TestWebhookCloseCancelsHungDelivery: an endpoint that never answers
+// must not hold the server open. Close cancels the POST in flight and
+// returns once the webhook pump has exited — within 100 ms, not after
+// the client timeout and its retries.
+func TestWebhookCloseCancelsHungDelivery(t *testing.T) {
+	arrived, cancelled := make(chan struct{}, 1), make(chan struct{}, 1)
+	sink := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Read the body so the server watches the connection and cancels
+		// r.Context() when the client hangs up.
+		io.Copy(io.Discard, r.Body)
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+		<-r.Context().Done() // never answers; returns when the client gives up
+		select {
+		case cancelled <- struct{}{}:
+		default:
+		}
+	}))
+	t.Cleanup(sink.Close)
+
+	db := core.New()
+	defer db.Close()
+	srv := New(db)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	resp, out := postJSON(t, ts.URL+"/v1/subscribe", map[string]interface{}{
+		"goal":    "?- likes(X, Y)",
+		"webhook": sink.URL,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("webhook subscribe status = %d: %v", resp.StatusCode, out)
+	}
+	select {
+	case <-arrived:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the snapshot POST never reached the endpoint")
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed: // Close waits for the pump, so the pump has exited
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("Server.Close still waiting on a hung webhook delivery after 100ms")
+	}
+	select {
+	case <-cancelled: // well before the client's 5 s timeout would end it
+	case <-time.After(time.Second):
+		t.Fatal("Close did not cancel the in-flight POST")
 	}
 }
 
