@@ -63,11 +63,11 @@ test-stream:
 # race runs under the race detector every caller the engine's remaining
 # locks serve (concurrent Query after Run, Stats/Profile during Run, the
 # shared value interner), the constraint solver's step budget, the store
-# write path (backend write-failure injection, range-index readers,
-# changelog), the segment backend (crash injection, mem/segment
-# equivalence, the block cache), the materialized-view and subscription
-# oracles, the goal-specialization oracle (concurrent readers on the plan
-# cache), and the server's observability counters.
+# write path (backend write-failure injection, changelog), the segment
+# backend (crash injection, mem/segment equivalence, the block cache),
+# the materialized-view and subscription oracles, the goal-specialization
+# oracle (concurrent readers on the plan cache), and the server's
+# observability counters.
 race:
 	$(GO) test -race ./internal/constraint/... ./internal/datalog/... ./internal/store/... ./internal/core/... ./internal/server/...
 
@@ -84,15 +84,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEachRecord$$' -fuzztime 5s ./internal/store/segment
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayTail$$' -fuzztime 5s ./internal/store/segment
 
-# bench reproduces the paper experiments E1–E15 (the root bench_test.go;
-# EXPERIMENTS.md records a reference run).
+# bench reproduces the paper experiments E1–E11, E13 and E15 (the root
+# bench_test.go; EXPERIMENTS.md records a reference run).
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
-# paper-bench-smoke runs every paper benchmark (E1–E15) exactly once, so
-# a benchmark that breaks, slows by an order of magnitude, or gets one of
-# the paper's exact answers wrong shows up in CI instead of only
-# compiling.
+# paper-bench-smoke runs every paper benchmark (E1–E11, E13, E15)
+# exactly once, so a benchmark that breaks, slows by an order of
+# magnitude, or gets one of the paper's exact answers wrong shows up in
+# CI instead of only compiling.
 paper-bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 

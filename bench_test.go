@@ -1,4 +1,4 @@
-// Package videodb_bench holds the reproduction experiments E1–E11 and E13–E15 (see
+// Package videodb_bench holds the reproduction experiments E1–E11, E13 and E15 (see
 // DESIGN.md §2 for the experiment index and EXPERIMENTS.md for a
 // reference run compared with the paper). One benchmark family per
 // figure, claim or design decision; run them with
@@ -63,15 +63,6 @@ func hop2Program() datalog.Program {
 		datalog.Rel("edge", datalog.Var("X"), datalog.Var("Y")),
 		datalog.Rel("edge", datalog.Var("Y"), datalog.Var("Z")),
 	))
-}
-
-func hop3Rule(head string) datalog.Rule {
-	return datalog.NewRule(
-		datalog.Rel(head, datalog.Var("X"), datalog.Var("W")),
-		datalog.Rel("edge", datalog.Var("X"), datalog.Var("Y")),
-		datalog.Rel("edge", datalog.Var("Y"), datalog.Var("Z")),
-		datalog.Rel("edge", datalog.Var("Z"), datalog.Var("W")),
-	)
 }
 
 func closureProgram(edge string) datalog.Program {
@@ -508,46 +499,6 @@ func BenchmarkE13JoinIndex(b *testing.B) {
 				runEngine(b, st, prog, c.opts...)
 			}
 		})
-	}
-}
-
-// --- E14: streaming executor vs materializing evaluator (design decision) ----------------
-
-// BenchmarkE14StreamingJoin compares the default pull-iterator executor
-// (interned row keys, store pushdown) with the materializing evaluator
-// (WithoutStreaming: recursive join kernel, string row keys). The dense
-// graph is the duplicate-heavy case: each hop2 pair is derivable ~16
-// ways, and the streaming head rejects a duplicate with one fixed-width
-// map probe and no allocation. The closure iterates the recursive TP
-// operator for ~n rounds; hop3 is a wide three-way join.
-func BenchmarkE14StreamingJoin(b *testing.B) {
-	dense := store.New()
-	for i := 0; i < 200; i++ {
-		for d := 1; d <= 16; d++ {
-			dense.AddFact(store.NewFact("edge",
-				object.Str(fmt.Sprintf("n%03d", i)), object.Str(fmt.Sprintf("n%03d", (i+d*7)%200))))
-		}
-	}
-	for _, w := range []struct {
-		name string
-		st   *store.Store
-		prog datalog.Program
-	}{
-		{"dense_hop2/n=200,deg=16", dense, hop2Program()},
-		{"closure/n=120", edgeStore(120, 1), closureProgram("edge")},
-		{"hop3/n=300", edgeStore(300, 7), datalog.NewProgram(hop3Rule("hop3"))},
-	} {
-		for _, c := range []struct {
-			name string
-			opts []datalog.Option
-		}{{"streaming", nil}, {"materializing", []datalog.Option{datalog.WithoutStreaming()}}} {
-			b.Run(w.name+"/"+c.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					runEngine(b, w.st, w.prog, c.opts...)
-				}
-			})
-		}
 	}
 }
 

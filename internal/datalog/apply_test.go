@@ -102,77 +102,67 @@ func sameSet(t *testing.T, got [][]object.Value, want map[string]bool, label str
 // TestApplyMatchesRecompute is the oracle for in-place maintenance: on
 // random positive programs and random fact batches, an engine maintained
 // by Apply must hold exactly the relations a fresh Run computes after
-// every batch, and report as plus/minus exactly the set differences —
-// in the streaming and the materializing evaluator.
+// every batch, and report as plus/minus exactly the set differences.
 func TestApplyMatchesRecompute(t *testing.T) {
-	variants := []struct {
-		name string
-		opts []Option
-	}{
-		{"serial", nil},
-		{"materializing", []Option{WithoutStreaming()}},
-	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			for seed := int64(0); seed < 12; seed++ {
-				r := rand.New(rand.NewSource(seed))
-				p := applyProgram(r)
-				nodes := 5 + r.Intn(4)
-				s := store.New()
-				for i := 0; i < 12+r.Intn(12); i++ {
-					s.AddFact(applyFact(r, nodes))
-				}
-				eng := mustEngine(t, s, p, v.opts...)
-				if err := eng.RunAt(nil); err != nil {
-					t.Fatal(err)
-				}
-				prev := snapshotRows(t, p, runFull(t, s, p))
-				for batch := 0; batch < 20; batch++ {
-					// A net batch: every fact flips at most once.
-					ins, del := FactDelta{}, FactDelta{}
-					flipped := map[string]bool{}
-					for i := 0; i < 1+r.Intn(5); i++ {
-						f := applyFact(r, nodes)
-						if flipped[f.Key()] {
-							continue
-						}
-						flipped[f.Key()] = true
-						if s.HasFact(f) && r.Intn(2) == 0 {
-							s.DeleteFact(f)
-							del[f.Name] = append(del[f.Name], f.Args)
-						} else if !s.HasFact(f) {
-							s.AddFact(f)
-							ins[f.Name] = append(ins[f.Name], f.Args)
-						}
-					}
-					label := fmt.Sprintf("seed %d batch %d", seed, batch)
-					plus, minus, err := eng.Apply(context.Background(), ins, del)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					fresh := runFull(t, s, p)
-					assertSameRows(t, p, eng, fresh, label)
-					cur := snapshotRows(t, p, fresh)
-					for _, pred := range p.IDB() {
-						entered, left := map[string]bool{}, map[string]bool{}
-						for k := range cur[pred] {
-							if !prev[pred][k] {
-								entered[k] = true
-							}
-						}
-						for k := range prev[pred] {
-							if !cur[pred][k] {
-								left[k] = true
-							}
-						}
-						sameSet(t, plus[pred], entered, label+" plus "+pred)
-						sameSet(t, minus[pred], left, label+" minus "+pred)
-					}
-					prev = cur
-				}
+	t.Run("serial", func(t *testing.T) {
+		for seed := int64(0); seed < 12; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			p := applyProgram(r)
+			nodes := 5 + r.Intn(4)
+			s := store.New()
+			for i := 0; i < 12+r.Intn(12); i++ {
+				s.AddFact(applyFact(r, nodes))
 			}
-		})
-	}
+			eng := mustEngine(t, s, p)
+			if err := eng.RunAt(nil); err != nil {
+				t.Fatal(err)
+			}
+			prev := snapshotRows(t, p, runFull(t, s, p))
+			for batch := 0; batch < 20; batch++ {
+				// A net batch: every fact flips at most once.
+				ins, del := FactDelta{}, FactDelta{}
+				flipped := map[string]bool{}
+				for i := 0; i < 1+r.Intn(5); i++ {
+					f := applyFact(r, nodes)
+					if flipped[f.Key()] {
+						continue
+					}
+					flipped[f.Key()] = true
+					if s.HasFact(f) && r.Intn(2) == 0 {
+						s.DeleteFact(f)
+						del[f.Name] = append(del[f.Name], f.Args)
+					} else if !s.HasFact(f) {
+						s.AddFact(f)
+						ins[f.Name] = append(ins[f.Name], f.Args)
+					}
+				}
+				label := fmt.Sprintf("seed %d batch %d", seed, batch)
+				plus, minus, err := eng.Apply(context.Background(), ins, del)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				fresh := runFull(t, s, p)
+				assertSameRows(t, p, eng, fresh, label)
+				cur := snapshotRows(t, p, fresh)
+				for _, pred := range p.IDB() {
+					entered, left := map[string]bool{}, map[string]bool{}
+					for k := range cur[pred] {
+						if !prev[pred][k] {
+							entered[k] = true
+						}
+					}
+					for k := range prev[pred] {
+						if !cur[pred][k] {
+							left[k] = true
+						}
+					}
+					sameSet(t, plus[pred], entered, label+" plus "+pred)
+					sameSet(t, minus[pred], left, label+" minus "+pred)
+				}
+				prev = cur
+			}
+		}
+	})
 }
 
 // panicSource fails any fact read: an engine maintained in place must

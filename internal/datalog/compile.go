@@ -25,14 +25,14 @@ import (
 //     time the kernel probes every candidate position and scans the most
 //     selective (shortest) posting list, rather than the first bound
 //     position the seed evaluator happened to meet;
-//   - precomputed join-index key strings for constant arguments, and a
-//     per-slot key cache in the frame so a bound value is rendered at most
-//     once per binding, not once per probe.
+//   - precomputed interned ids for constant arguments, and a per-slot id
+//     cache in the frame so a bound value is interned at most once per
+//     binding, not once per probe.
 //
 // Compilation is purely a change of representation: the step order is the
 // exact order planBody chooses, and every runtime decision that depends on
 // data (index selectivity, member-index applicability) is still made at
-// run time. WithoutPlanCache re-compiles per evaluation for ablation.
+// run time.
 
 // compiledRule is the execution form of one rule. It is immutable after
 // compilation, so engines may share it: the cross-query plan cache hands
@@ -51,7 +51,7 @@ type compiledRule struct {
 type headSpec struct {
 	slot   int          // >= 0: variable slot
 	val    object.Value // constant (slot < 0, concat == nil)
-	vid    uint64       // interned id of val (streaming head dedup)
+	vid    uint64       // interned id of val (head dedup)
 	concat *Term        // constructive term (evaluated recursively)
 }
 
@@ -74,14 +74,12 @@ type opSpec struct {
 	src  Operand // original operand, for error messages
 }
 
-// argSpec is a compiled relational-atom argument. Constants carry both
-// the rendered join-index key (materializing mode) and the globally
-// interned value id (streaming mode); ids are process-stable, so compiled
-// plans embedding them are safe to share across engines.
+// argSpec is a compiled relational-atom argument. Constants carry their
+// globally interned value id; ids are process-stable, so compiled plans
+// embedding them are safe to share across engines.
 type argSpec struct {
 	slot int          // >= 0: variable slot; -1: constant
 	val  object.Value // constant value
-	key  string       // precomputed join-index key for constants
 	vid  uint64       // precomputed interned id for constants
 }
 
@@ -112,7 +110,7 @@ type planStep struct {
 	constSig   string // cache key for constant-pushdown scans ("" = no constants)
 	freshSlots []int  // slots this step binds (cleared on backtrack)
 	// exact marks a fully bound step of a rederivation plan: the
-	// streaming executor finds its one candidate row through the
+	// executor finds its one candidate row through the
 	// relation's key set instead of building join indexes.
 	exact bool
 
@@ -122,7 +120,7 @@ type planStep struct {
 	memberSpecs []memberSpec
 	// window, when set on an Interval enumeration, is the hull of a later
 	// solver-decidable guard pinning the variable's duration (G.duration ⇒
-	// const): the streaming executor pushes it into the store's interval
+	// const): the executor pushes it into the store's interval
 	// tree instead of enumerating the whole active domain. The guard still
 	// runs, so the pushed scan only needs to over-approximate.
 	window *interval.Span
@@ -137,19 +135,14 @@ type planStep struct {
 
 // frame is the flat binding store for one rule evaluation: values indexed
 // by the rule's compile-time variable numbering, plus a lazily filled
-// per-slot cache of join-index keys so a bound value is keyed at most
-// once per binding. Interned (streaming) frames cache uint64 ids; string
-// frames cache the rendered form. scratch is the head-instantiation
-// buffer the streaming executor fills to dedup-check a firing before
-// allocating the tuple.
+// per-slot cache of interned ids so a bound value is interned at most
+// once per binding. scratch is the head-instantiation buffer the
+// executor fills to dedup-check a firing before allocating the tuple.
 type frame struct {
 	vals  []object.Value
 	bound []bool
 
-	keys  []string // string-keyed mode
-	keyed []bool
-
-	ids  []uint64 // interned mode
+	ids  []uint64
 	idok []bool
 
 	scratch    row
@@ -157,38 +150,27 @@ type frame struct {
 	probeIDs   []uint64 // exact-lookup key buffer (rederivation)
 }
 
-func newFrame(cr *compiledRule, interned bool) *frame {
+func newFrame(cr *compiledRule) *frame {
 	n := cr.nVars
-	fr := &frame{
-		vals:  make([]object.Value, n),
-		bound: make([]bool, n),
+	return &frame{
+		vals:       make([]object.Value, n),
+		bound:      make([]bool, n),
+		ids:        make([]uint64, n),
+		idok:       make([]bool, n),
+		scratch:    make(row, len(cr.head)),
+		scratchIDs: make([]uint64, len(cr.head)),
 	}
-	if interned {
-		fr.ids = make([]uint64, n)
-		fr.idok = make([]bool, n)
-		fr.scratch = make(row, len(cr.head))
-		fr.scratchIDs = make([]uint64, len(cr.head))
-	} else {
-		fr.keys = make([]string, n)
-		fr.keyed = make([]bool, n)
-	}
-	return fr
 }
 
 func (fr *frame) bind(slot int, v object.Value) {
 	fr.vals[slot] = v
 	fr.bound[slot] = true
-	if fr.idok != nil {
-		fr.idok[slot] = false
-	} else {
-		fr.keyed[slot] = false
-	}
+	fr.idok[slot] = false
 }
 
 // bindID binds a slot whose interned id is already known (the value came
 // from a relation row that carries its ids), pre-filling the frame's id
 // cache so later probes and head folds skip the intern-table lookup.
-// Interned (streaming) frames only.
 func (fr *frame) bindID(slot int, v object.Value, id uint64) {
 	fr.vals[slot] = v
 	fr.bound[slot] = true
@@ -198,20 +180,7 @@ func (fr *frame) bindID(slot int, v object.Value, id uint64) {
 
 func (fr *frame) unbind(slot int) {
 	fr.bound[slot] = false
-	if fr.idok != nil {
-		fr.idok[slot] = false
-	} else {
-		fr.keyed[slot] = false
-	}
-}
-
-// key returns the join-index key of the bound slot, caching the rendering.
-func (fr *frame) key(slot int) string {
-	if !fr.keyed[slot] {
-		fr.keys[slot] = fr.vals[slot].String()
-		fr.keyed[slot] = true
-	}
-	return fr.keys[slot]
+	fr.idok[slot] = false
 }
 
 // id returns the interned id of the bound slot, caching the intern lookup.
@@ -254,17 +223,16 @@ func (e *Engine) compileRule(r Rule, stratum int) (*compiledRule, error) {
 	return cr, nil
 }
 
-// compileRuleOne builds the execution form with only the plan for one
-// delta position — the WithoutPlanCache ablation path, which pays the
-// per-evaluation planning cost the seed evaluator paid.
-func (e *Engine) compileRuleOne(r Rule, deltaPos int) (*compiledRule, error) {
-	cr := compileSkeleton(r)
-	steps, err := e.compilePlan(cr, r, deltaPos)
-	if err != nil {
-		return nil, fmt.Errorf("datalog: rule %s: %w", r.label(), err)
+// compileRules compiles every rule once. A rule that fails to compile
+// (e.g. a constraint atom over variables no body literal binds) keeps a
+// nil entry, so its error surfaces at evaluation time (evalRule).
+func (e *Engine) compileRules() {
+	e.compiled = make([]*compiledRule, len(e.prog.Rules))
+	for i, r := range e.prog.Rules {
+		if cr, err := e.compileRule(r, e.ruleStrata[i]); err == nil {
+			e.compiled[i] = cr
+		}
 	}
-	cr.plans[deltaPos] = steps
-	return cr, nil
 }
 
 // compileSkeleton numbers the rule's variables and compiles the head spec.
@@ -365,7 +333,7 @@ func (e *Engine) compilePlan(cr *compiledRule, r Rule, deltaPos int) ([]planStep
 			for k, t := range a.Args {
 				if !t.IsVar() {
 					v := t.Value()
-					st.args[k] = argSpec{slot: -1, val: v, key: v.String(), vid: valueID(v)}
+					st.args[k] = argSpec{slot: -1, val: v, vid: valueID(v)}
 					st.probes = append(st.probes, k)
 					continue
 				}
@@ -564,7 +532,7 @@ func compileOperand(cr *compiledRule, o Operand) opSpec {
 
 // resolveOp resolves a compiled operand under the frame: the base value,
 // then the attribute projection if any. A null result means "constraint
-// cannot hold", matching resolveOperand.
+// cannot hold".
 func (e *Engine) resolveOp(sp opSpec, fr *frame) (object.Value, error) {
 	var v object.Value
 	if sp.slot >= 0 {
@@ -774,17 +742,8 @@ func (st *planStep) clearFresh(fr *frame) {
 	}
 }
 
-// probeKey returns the join-index key for the argument at position k:
+// probeID returns the join-index key for the argument at position k:
 // precomputed for constants, cached per binding for variables.
-func (st *planStep) probeKey(fr *frame, k int) string {
-	a := &st.args[k]
-	if a.slot < 0 {
-		return a.key
-	}
-	return fr.key(a.slot)
-}
-
-// probeID is probeKey for interned (streaming) evaluation.
 func (st *planStep) probeID(fr *frame, k int) uint64 {
 	a := &st.args[k]
 	if a.slot < 0 {

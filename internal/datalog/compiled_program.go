@@ -62,22 +62,17 @@ func CompileProgram(prog Program) (*CompiledProgram, error) {
 	for _, pred := range prog.IDB() {
 		e.idb[pred] = true
 	}
-	cp.compiled = make([]*compiledRule, len(prog.Rules))
-	for i, r := range prog.Rules {
-		if cr, err := e.compileRule(r, cp.ruleStrata[i]); err == nil {
-			cp.compiled[i] = cr
-		}
-	}
+	e.compileRules()
+	cp.compiled = e.compiled
 	return cp, nil
 }
 
 // NewEngineWith prepares an engine over the store from an
 // already-compiled program, skipping validation, stratification, and —
-// for the default configuration — rule compilation. Options that change
-// what the plans must contain (EagerExtension widens the delta
-// positions; WithoutPlanCache asks for per-evaluation planning) fall
-// back to recompiling, so the engine always behaves exactly as
-// NewEngine(st, cp.Program(), opts...) would.
+// for the default configuration — rule compilation. EagerExtension
+// changes what the plans must contain (it widens the delta positions),
+// so it falls back to recompiling, and the engine always behaves exactly
+// as NewEngine(st, cp.Program(), opts...) would.
 func NewEngineWith(st *store.Store, cp *CompiledProgram, opts ...Option) *Engine {
 	e := newEngineShell(st, cp.prog)
 	e.predStrata = cp.predStrata
@@ -87,17 +82,10 @@ func NewEngineWith(st *store.Store, cp *CompiledProgram, opts ...Option) *Engine
 	// growsAt is mutated by the eager option in finishInit: copy it.
 	e.growsAt = append([]bool(nil), cp.growsAt...)
 	e.finishInit(opts)
-	e.compiled = make([]*compiledRule, len(cp.prog.Rules))
-	if e.usePlanCache {
-		if e.eager {
-			for i, r := range cp.prog.Rules {
-				if cr, err := e.compileRule(r, e.ruleStrata[i]); err == nil {
-					e.compiled[i] = cr
-				}
-			}
-		} else {
-			copy(e.compiled, cp.compiled)
-		}
+	if e.eager {
+		e.compileRules()
+	} else {
+		e.compiled = cp.compiled // read-only: compiled rules are shared
 	}
 	return e
 }

@@ -31,18 +31,14 @@ type Engine struct {
 
 	naive          bool
 	eager          bool
-	streaming      bool
 	useMemberIndex bool
 	useJoinIndex   bool
-	usePlanCache   bool
 	maxRounds      int
 	maxCreated     int
 	maxDerived     int
 
-	// in is the engine's pair interner (streaming mode): tuples are keyed
-	// by interned 64-bit ids instead of rendered strings. nil in the
-	// materializing ablation (WithoutStreaming), whose relations fall back
-	// to string keys.
+	// in is the engine's pair interner: tuples are keyed by interned
+	// 64-bit ids, not rendered strings.
 	in *pairInterner
 
 	// Cancellation (WithContext): ctx is checked once per fixpoint round
@@ -56,8 +52,8 @@ type Engine struct {
 	budget         *constraint.Budget
 
 	// Compiled execution forms, aligned with prog.Rules. Populated at
-	// NewEngine time; nil entries (WithoutPlanCache ablation) are
-	// recompiled on every evaluation.
+	// NewEngine time; a rule that failed to compile keeps a nil entry, and
+	// evaluating it reports the compilation error.
 	compiled []*compiledRule
 
 	derived map[string]*relation
@@ -213,13 +209,6 @@ func Naive() Option { return func(e *Engine) { e.naive = true } }
 // MaxCreated.
 func EagerExtension() Option { return func(e *Engine) { e.eager = true } }
 
-// WithoutStreaming selects the materializing evaluator: the recursive
-// join kernel with rendered string row keys and no store pushdown, as it
-// existed before the streaming executor. Ablation knob — it preserves the
-// seed-comparable allocation profile the streaming benchmarks measure
-// against.
-func WithoutStreaming() Option { return func(e *Engine) { e.streaming = false } }
-
 // WithoutMemberIndex disables the planner's use of the store's
 // entity→interval inverted index for "o ∈ G.entities" generators (E10
 // ablation).
@@ -229,11 +218,6 @@ func WithoutMemberIndex() Option { return func(e *Engine) { e.useMemberIndex = f
 // argument positions, forcing full scans in relational joins (E13
 // ablation).
 func WithoutJoinIndex() Option { return func(e *Engine) { e.useJoinIndex = false } }
-
-// WithoutPlanCache disables the compiled-rule plan cache: every (rule,
-// delta) task re-plans and re-classifies the rule body, as the seed
-// evaluator did. Ablation knob for benchmarking the cache's contribution.
-func WithoutPlanCache() Option { return func(e *Engine) { e.usePlanCache = false } }
 
 // MaxRounds bounds the number of TP iterations (a safety net; the
 // language guarantees termination, so hitting the bound is reported as an
@@ -265,18 +249,7 @@ func NewEngine(st *store.Store, prog Program, opts ...Option) (*Engine, error) {
 		}
 	}
 	e.finishInit(opts)
-	// Compile every rule once. A rule that fails to compile (e.g. a
-	// constraint atom over variables no body literal binds) keeps a nil
-	// entry so the error surfaces at evaluation time, exactly as the
-	// per-evaluation planner reported it.
-	e.compiled = make([]*compiledRule, len(prog.Rules))
-	if e.usePlanCache {
-		for i, r := range prog.Rules {
-			if cr, err := e.compileRule(r, e.ruleStrata[i]); err == nil {
-				e.compiled[i] = cr
-			}
-		}
-	}
+	e.compileRules()
 	return e, nil
 }
 
@@ -290,10 +263,8 @@ func newEngineShell(st *store.Store, prog Program) *Engine {
 		src:            st,
 		prog:           prog,
 		idb:            make(map[string]bool),
-		streaming:      true,
 		useMemberIndex: true,
 		useJoinIndex:   true,
-		usePlanCache:   true,
 		maxRounds:      1 << 20,
 		maxCreated:     1 << 20,
 		maxDerived:     1 << 20,
@@ -309,16 +280,13 @@ func newEngineShell(st *store.Store, prog Program) *Engine {
 }
 
 // finishInit applies the options and builds the option-dependent state:
-// the pair interner and the derived relations (keyed according to the
-// execution mode), the profiler, the eager-extension flags, and which
-// oid lists a run must snapshot.
+// the pair interner and the derived relations, the profiler, the
+// eager-extension flags, and which oid lists a run must snapshot.
 func (e *Engine) finishInit(opts []Option) {
 	for _, o := range opts {
 		o(e)
 	}
-	if e.streaming {
-		e.in = newPairInterner()
-	}
+	e.in = newPairInterner()
 	for _, pred := range e.prog.IDB() {
 		e.idb[pred] = true
 		rel := newRelation(e.in)
@@ -604,7 +572,7 @@ func (e *Engine) snapshotEDB() {
 		e.baseEntities = e.st.Entities()
 	}
 	e.allIntervals = append([]object.OID(nil), e.baseIntervals...)
-	if e.streaming && e.needEmpties {
+	if e.needEmpties {
 		for _, oid := range e.baseIntervals {
 			if o := e.st.Get(oid); o != nil && o.Duration().IsEmpty() {
 				e.emptyIntervals = append(e.emptyIntervals, oid)
@@ -706,14 +674,10 @@ func (e *Engine) edbRelation(pred string) *relation {
 	facts := e.src.Facts(pred)
 	rel := newRelation(e.in)
 	rel.rows = make([]row, len(facts))
-	if rel.interned() {
-		rel.vids = make([][]uint64, len(facts))
-	}
+	rel.vids = make([][]uint64, len(facts))
 	for i, f := range facts {
 		rel.rows[i] = row(f.Args)
-		if rel.interned() {
-			rel.vids[i] = vidsOf(rel.rows[i])
-		}
+		rel.vids[i] = vidsOf(rel.rows[i])
 	}
 	e.edbCache[pred] = rel
 	return rel
@@ -721,28 +685,10 @@ func (e *Engine) edbRelation(pred string) *relation {
 
 func (e *Engine) edbRows(pred string) []row { return e.edbRelation(pred).rows }
 
-// relAccess returns the rows a relational atom should scan and, when the
-// full extent is being read, the relation whose join index can narrow
-// the scan.
-func (e *Engine) relAccess(pred string, useDelta bool) ([]row, *relation) {
-	if rel, ok := e.derived[pred]; ok {
-		if useDelta {
-			return rel.delta, nil
-		}
-		return rel.rows, rel
-	}
-	if useDelta {
-		// Only incremental maintenance assigns delta positions to
-		// extensional atoms; elsewhere an EDB delta is empty.
-		return e.edbDelta[pred], nil
-	}
-	rel := e.edbRelation(pred)
-	return rel.rows, rel
-}
-
-// relAccessIDs is relAccess for the streaming executor: it additionally
-// returns the rows' carried value ids (aligned with rows; nil when the
-// source doesn't carry them, e.g. incremental EDB deltas).
+// relAccessIDs returns the rows a relational atom should scan, their
+// carried value ids (aligned with rows; nil when the source doesn't carry
+// them, e.g. incremental EDB deltas) and, when the full extent is being
+// read, the relation whose join index can narrow the scan.
 func (e *Engine) relAccessIDs(pred string, useDelta bool) ([]row, [][]uint64, *relation) {
 	if rel, ok := e.derived[pred]; ok {
 		if useDelta {
@@ -751,6 +697,8 @@ func (e *Engine) relAccessIDs(pred string, useDelta bool) ([]row, [][]uint64, *r
 		return rel.rows, rel.vids, rel
 	}
 	if useDelta {
+		// Only incremental maintenance assigns delta positions to
+		// extensional atoms; elsewhere an EDB delta is empty.
 		return e.edbDelta[pred], nil, nil
 	}
 	rel := e.edbRelation(pred)
@@ -785,19 +733,15 @@ func (e *Engine) Created() []*object.Object {
 
 type bindings map[string]object.Value
 
-// evalRule evaluates one (rule, delta) task with the rule's compiled plan.
-// With the plan cache disabled (or when compilation failed at NewEngine
-// time), the rule is recompiled here and the compilation error, if any,
-// surfaces exactly where the per-evaluation planner reported it.
+// evalRule evaluates one (rule, delta) task with the rule's compiled
+// plan. A rule that failed to compile at NewEngine time reports its
+// compilation error here, where the planner meets it.
 func (e *Engine) evalRule(ruleIdx, deltaPos int) error {
 	e.curRule = ruleIdx // per-rule attribution for profiling
 	cr := e.compiled[ruleIdx]
 	if cr == nil {
-		var err error
-		cr, err = e.compileRuleOne(e.prog.Rules[ruleIdx], deltaPos)
-		if err != nil {
-			return err
-		}
+		_, err := e.compileRule(e.prog.Rules[ruleIdx], e.ruleStrata[ruleIdx])
+		return err
 	}
 	steps, ok := cr.plans[deltaPos]
 	if !ok {
@@ -805,8 +749,8 @@ func (e *Engine) evalRule(ruleIdx, deltaPos int) error {
 	}
 	if !ok {
 		// Unplanned delta position (deltaPositionsIn and the incremental
-		// plans cover every one a run takes when the plan cache is on).
-		// Compile locally without mutating the shared plan map.
+		// plans cover every one a run takes). Compile locally without
+		// mutating the shared plan map.
 		var err error
 		steps, err = e.compilePlan(cr, cr.rule, deltaPos)
 		if err != nil {
@@ -814,110 +758,7 @@ func (e *Engine) evalRule(ruleIdx, deltaPos int) error {
 		}
 	}
 	e.curRel = e.derived[cr.rule.Head.Pred]
-	fr := newFrame(cr, e.streaming)
-	if e.streaming {
-		return e.runPipeline(cr, steps, fr)
-	}
-	return e.runSteps(cr, steps, 0, fr)
-}
-
-// runSteps executes the compiled plan from step i under the frame: the
-// allocation-lean replacement for the seed's map-based join recursion.
-func (e *Engine) runSteps(cr *compiledRule, steps []planStep, i int, fr *frame) error {
-	if i == len(steps) {
-		return e.fireHead(cr, fr)
-	}
-	st := &steps[i]
-	switch st.kind {
-	case stepRel:
-		rows, rel := e.relAccess(st.pred, st.useDelta)
-		// Join index: when some argument is statically determined and the
-		// extent is large, probe every bound position and scan the most
-		// selective (shortest) posting list.
-		if e.useJoinIndex && rel != nil && len(rows) >= 16 && len(st.probes) > 0 {
-			var ids []int
-			for pi, k := range st.probes {
-				cand := rel.lookupStr(k, st.probeKey(fr, k))
-				if pi == 0 || len(cand) < len(ids) {
-					ids = cand
-					if len(ids) == 0 {
-						break
-					}
-				}
-			}
-			for _, ri := range ids {
-				if err := e.tick(); err != nil {
-					return err
-				}
-				if st.match(fr, rows[ri]) {
-					if err := e.runSteps(cr, steps, i+1, fr); err != nil {
-						return err
-					}
-				}
-				st.clearFresh(fr)
-			}
-			return nil
-		}
-		for _, tuple := range rows {
-			if err := e.tick(); err != nil {
-				return err
-			}
-			if st.match(fr, tuple) {
-				if err := e.runSteps(cr, steps, i+1, fr); err != nil {
-					return err
-				}
-			}
-			st.clearFresh(fr)
-		}
-		return nil
-
-	case stepClassCheck:
-		v := st.classArg.val
-		if st.classArg.slot >= 0 {
-			v = fr.vals[st.classArg.slot]
-		}
-		if e.isKind(v, st.classKind) {
-			return e.runSteps(cr, steps, i+1, fr)
-		}
-		return nil
-
-	case stepClassEnum:
-		slot := st.classArg.slot
-		for _, oid := range e.classEnumCandidates(st, fr) {
-			if err := e.tick(); err != nil {
-				return err
-			}
-			fr.bind(slot, object.Ref(oid))
-			if err := e.runSteps(cr, steps, i+1, fr); err != nil {
-				return err
-			}
-		}
-		fr.unbind(slot)
-		return nil
-
-	case stepAssign:
-		v, err := e.resolveOp(st.assignSrc, fr)
-		if err != nil {
-			return fmt.Errorf("datalog: rule %s: %w", cr.rule.label(), err)
-		}
-		if v.IsNull() {
-			return nil // undefined attribute: the atom cannot hold
-		}
-		fr.bind(st.assignSlot, v)
-		err = e.runSteps(cr, steps, i+1, fr)
-		fr.unbind(st.assignSlot)
-		return err
-
-	default: // stepFilter
-		ok, err := st.filter(e, fr)
-		if err != nil {
-			return fmt.Errorf("datalog: rule %s: %w", cr.rule.label(), err)
-		}
-		if ok {
-			return e.runSteps(cr, steps, i+1, fr)
-		}
-		return nil
-	}
+	return e.runPipeline(cr, steps, newFrame(cr))
 }
 
 // classEnumCandidates enumerates the oids a class-atom generator should
@@ -950,7 +791,7 @@ func (e *Engine) classEnumCandidates(st *planStep, fr *frame) []object.OID {
 			return cands
 		}
 	}
-	if e.streaming && st.window != nil {
+	if st.window != nil {
 		// Guard pushdown: a later entailment pins this interval's duration
 		// inside a constant window, so the store's interval tree yields the
 		// candidates whose duration lies within the window's hull. The set
@@ -1037,102 +878,6 @@ func unifyArgs(args []Term, tuple row, b bindings) ([]string, bool) {
 
 // --- Filters ------------------------------------------------------------------
 
-func (e *Engine) resolveOperand(o Operand, b bindings) (object.Value, error) {
-	v, ok := termValue(o.Term, b)
-	if !ok {
-		return object.Null(), fmt.Errorf("unbound variable %q in constraint operand %s", o.Term.Name(), o)
-	}
-	if o.Attr == "" {
-		return v, nil
-	}
-	oid, isRef := v.AsRef()
-	if !isRef {
-		return object.Null(), nil // non-object has no attributes; constraint fails
-	}
-	obj := e.Object(oid)
-	if obj == nil {
-		return object.Null(), nil
-	}
-	return obj.Attr(o.Attr), nil
-}
-
-func (e *Engine) evalFilter(l Literal, b bindings) (bool, error) {
-	switch a := l.(type) {
-	case CmpAtom:
-		lv, err := e.resolveOperand(a.Left, b)
-		if err != nil {
-			return false, err
-		}
-		rv, err := e.resolveOperand(a.Right, b)
-		if err != nil {
-			return false, err
-		}
-		return compareValues(lv, a.Op, rv), nil
-
-	case MemberAtom:
-		set, err := e.resolveOperand(a.Set, b)
-		if err != nil {
-			return false, err
-		}
-		for _, el := range a.Elems {
-			ev, err := e.resolveOperand(el, b)
-			if err != nil {
-				return false, err
-			}
-			if !set.ContainsElem(ev) {
-				return false, nil
-			}
-		}
-		return true, nil
-
-	case EntailAtom:
-		lv, err := e.resolveOperand(a.Left, b)
-		if err != nil {
-			return false, err
-		}
-		rv, err := e.resolveOperand(a.Right, b)
-		if err != nil {
-			return false, err
-		}
-		lt, ok1 := lv.AsTemporal()
-		rt, ok2 := rv.AsTemporal()
-		if !ok1 || !ok2 {
-			return false, nil
-		}
-		return rt.ContainsGen(lt), nil
-
-	case TemporalAtom:
-		lv, err := e.resolveOperand(a.Left, b)
-		if err != nil {
-			return false, err
-		}
-		rv, err := e.resolveOperand(a.Right, b)
-		if err != nil {
-			return false, err
-		}
-		lt, ok1 := lv.AsTemporal()
-		rt, ok2 := rv.AsTemporal()
-		if !ok1 || !ok2 {
-			return false, nil
-		}
-		return evalTemporalRel(a.Rel, lt, rt), nil
-
-	case NotAtom:
-		tuple := make(row, len(a.Atom.Args))
-		for i, t := range a.Atom.Args {
-			v, ok := termValue(t, b)
-			if !ok {
-				return false, fmt.Errorf("unbound variable %q in negated atom %s", t.Name(), a)
-			}
-			tuple[i] = v
-		}
-		return !e.hasTuple(a.Atom.Pred, tuple), nil
-
-	default:
-		return false, fmt.Errorf("unexpected literal %T in filter position", l)
-	}
-}
-
 // hasTuple reports whether the predicate's extent (EDB plus derived)
 // contains the tuple. For negation this is sound because stratification
 // guarantees the predicate's stratum is below the current one, so its
@@ -1217,13 +962,13 @@ func compareValues(l object.Value, op constraint.Op, r object.Value) bool {
 
 func (e *Engine) fireHead(cr *compiledRule, fr *frame) error {
 	r := cr.rule
-	// Streaming fast path: instantiate the head into the frame's scratch
-	// buffer and dedup-check by interned key before allocating anything —
-	// duplicate firings (the majority of firings near the fixpoint)
-	// allocate nothing. Constructive heads, over-deletion, and provenance
-	// tracing need the materialized tuple or its side effects and take the
-	// general path below.
-	if e.in != nil && !e.delMode && !e.trace && !cr.constructive {
+	// Fast path: instantiate the head into the frame's scratch buffer and
+	// dedup-check by interned key before allocating anything — duplicate
+	// firings (the majority of firings near the fixpoint) allocate
+	// nothing. Constructive heads, over-deletion, and provenance tracing
+	// need the materialized tuple or its side effects and take the general
+	// path below.
+	if !e.delMode && !e.trace && !cr.constructive {
 		s, sids := fr.scratch, fr.scratchIDs
 		for i, h := range cr.head {
 			if h.slot >= 0 {

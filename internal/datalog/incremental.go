@@ -301,15 +301,11 @@ func (e *Engine) compileIncPlans() {
 
 // loadExtents loads every extensional extent a run can read: the whole
 // relation of each extensional predicate a rule body (negated included)
-// or registered goal mentions and, for the streaming executor, each
-// constant-filtered scan it pushes down, recorded in edbScans so
-// maintenance reaches it. Runs before any evaluation, so nothing is
-// cached yet.
+// or registered goal mentions, and each constant-filtered scan the
+// executor pushes down, recorded in edbScans so maintenance reaches it.
+// Runs before any evaluation, so nothing is cached yet.
 func (e *Engine) loadExtents() {
 	e.warmEDBCaches()
-	if !e.streaming {
-		return
-	}
 	for _, r := range e.prog.Rules {
 		for _, l := range r.Body {
 			a, ok := l.(RelAtom)

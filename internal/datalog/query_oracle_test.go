@@ -108,33 +108,29 @@ func sameResults(got, want []Result) error {
 // random instances — EDB and IDB predicates, recursive relations, ⊕
 // created intervals — every goal shape (all-variable, permuted
 // variables, bound, unmatched constant, repeated variable) answers
-// exactly the reference's rows in the reference's order, under the
-// streaming and the materializing evaluator.
+// exactly the reference's rows in the reference's order.
 func TestQueryMatchesReference(t *testing.T) {
-	configs := map[string][]Option{"streaming": nil, "materializing": {WithoutStreaming()}}
-	for name, opts := range configs {
-		for seed := int64(0); seed < 40; seed++ {
-			r := rand.New(rand.NewSource(seed))
-			s, p := randomInstance(r)
-			e := mustEngine(t, s, p, opts...)
-			preds := append([]string{"edge"}, p.IDB()...)
-			for _, pred := range preds {
-				rows, err := e.Rows(pred)
+	for seed := int64(0); seed < 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		s, p := randomInstance(r)
+		e := mustEngine(t, s, p)
+		preds := append([]string{"edge"}, p.IDB()...)
+		for _, pred := range preds {
+			rows, err := e.Rows(pred)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			for _, q := range oracleGoals(pred, rows) {
+				got, err := e.Query(q)
 				if err != nil {
-					t.Fatalf("%s seed %d: %v", name, seed, err)
+					t.Fatalf("seed %d %s: %v", seed, q, err)
 				}
-				for _, q := range oracleGoals(pred, rows) {
-					got, err := e.Query(q)
-					if err != nil {
-						t.Fatalf("%s seed %d %s: %v", name, seed, q, err)
-					}
-					want, err := referenceQuery(e, q)
-					if err != nil {
-						t.Fatalf("%s seed %d %s: %v", name, seed, q, err)
-					}
-					if err := sameResults(got, want); err != nil {
-						t.Fatalf("%s seed %d ?- %s: %v", name, seed, q, err)
-					}
+				want, err := referenceQuery(e, q)
+				if err != nil {
+					t.Fatalf("seed %d %s: %v", seed, q, err)
+				}
+				if err := sameResults(got, want); err != nil {
+					t.Fatalf("seed %d ?- %s: %v", seed, q, err)
 				}
 			}
 		}

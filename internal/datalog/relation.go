@@ -10,10 +10,9 @@ import (
 // row is one derived tuple.
 type row []object.Value
 
-// rowKey renders the tuple's canonical string key. The streaming executor
-// identifies tuples by interned 64-bit keys instead (see intern.go);
-// rendered keys remain the canonical *ordering* for query results and the
-// dedup key of the materializing ablation (WithoutStreaming).
+// rowKey renders the tuple's canonical string key. The engine identifies
+// tuples by interned 64-bit keys (see intern.go); rendered keys remain
+// the canonical *ordering* of query results.
 func rowKey(r row) string {
 	var b strings.Builder
 	for i, v := range r {
@@ -32,38 +31,26 @@ func rowKey(r row) string {
 // folding — is the dedup cost of a duplicate firing.
 type rowID [4]uint64
 
-// keySet is a membership set of tuples. Interned (streaming) sets key
-// rows of arity ≤ 4 by their padded value-id array and longer rows by the
-// pair-interner fold; string sets render the row (the materializing
-// ablation keeps the seed evaluator's allocation profile). Each entry
-// carries an int: a relation's key set stores the tuple's index in its
-// rows, so an in-place removal finds the row without scanning; other
-// sets store 0. (An int value costs nothing over a bool: map slots are
-// padded to the key's alignment.)
+// keySet is a membership set of tuples: rows of arity ≤ 4 are keyed by
+// their padded value-id array, longer rows by the pair-interner fold.
+// Each entry carries an int: a relation's key set stores the tuple's
+// index in its rows, so an in-place removal finds the row without
+// scanning; other sets store 0. (An int value costs nothing over a bool:
+// map slots are padded to the key's alignment.)
 type keySet struct {
-	in   *pairInterner
-	arr  map[rowID]int
-	ids  map[uint64]int // fold keys of rows with arity > 4
-	strs map[string]int
+	in  *pairInterner
+	arr map[rowID]int
+	ids map[uint64]int // fold keys of rows with arity > 4
 }
 
 func newKeySet(in *pairInterner, n int) keySet {
-	if in != nil {
-		return keySet{in: in, arr: make(map[rowID]int, n)}
-	}
-	return keySet{strs: make(map[string]int, n)}
+	return keySet{in: in, arr: make(map[rowID]int, n)}
 }
 
 // presize replaces an empty set's map with one sized for n entries.
 func (s *keySet) presize(n int) {
-	if s.in != nil {
-		if len(s.arr) == 0 && n > 0 {
-			s.arr = make(map[rowID]int, n)
-		}
-		return
-	}
-	if len(s.strs) == 0 && n > 0 {
-		s.strs = make(map[string]int, n)
+	if len(s.arr) == 0 && n > 0 {
+		s.arr = make(map[rowID]int, n)
 	}
 }
 
@@ -96,29 +83,21 @@ func (s *keySet) add(t row) bool { return s.addAt(t, 0) }
 // addAt inserts the tuple with its row index, reporting whether it was
 // new (an existing entry keeps its index).
 func (s *keySet) addAt(t row, pos int) bool {
-	if s.in != nil {
-		if k, ok := arrKey(t); ok {
-			if _, dup := s.arr[k]; dup {
-				return false
-			}
-			s.arr[k] = pos
-			return true
-		}
-		k := s.in.rowKey64(t)
-		if _, dup := s.ids[k]; dup {
+	if k, ok := arrKey(t); ok {
+		if _, dup := s.arr[k]; dup {
 			return false
 		}
-		if s.ids == nil {
-			s.ids = make(map[uint64]int)
-		}
-		s.ids[k] = pos
+		s.arr[k] = pos
 		return true
 	}
-	k := rowKey(t)
-	if _, dup := s.strs[k]; dup {
+	k := s.in.rowKey64(t)
+	if _, dup := s.ids[k]; dup {
 		return false
 	}
-	s.strs[k] = pos
+	if s.ids == nil {
+		s.ids = make(map[uint64]int)
+	}
+	s.ids[k] = pos
 	return true
 }
 
@@ -129,35 +108,24 @@ func (s *keySet) has(t row) bool {
 
 // pos returns the int stored with the tuple.
 func (s *keySet) pos(t row) (int, bool) {
-	var i int
-	var ok bool
-	if s.in != nil {
-		if k, isArr := arrKey(t); isArr {
-			i, ok = s.arr[k]
-		} else {
-			i, ok = s.ids[s.in.rowKey64(t)]
-		}
-	} else {
-		i, ok = s.strs[rowKey(t)]
+	if k, ok := arrKey(t); ok {
+		i, has := s.arr[k]
+		return i, has
 	}
-	return i, ok
+	i, has := s.ids[s.in.rowKey64(t)]
+	return i, has
 }
 
 // setPos overwrites the int stored with a present tuple.
 func (s *keySet) setPos(t row, pos int) {
-	if s.in != nil {
-		if k, ok := arrKey(t); ok {
-			s.arr[k] = pos
-		} else {
-			s.ids[s.in.rowKey64(t)] = pos
-		}
-		return
+	if k, ok := arrKey(t); ok {
+		s.arr[k] = pos
+	} else {
+		s.ids[s.in.rowKey64(t)] = pos
 	}
-	s.strs[rowKey(t)] = pos
 }
 
-// posIDs is pos for a tuple whose value ids are already in hand
-// (interned mode only).
+// posIDs is pos for a tuple whose value ids are already in hand.
 func (s *keySet) posIDs(ids []uint64) (int, bool) {
 	if k, ok := arrKeyIDs(ids); ok {
 		i, has := s.arr[k]
@@ -168,8 +136,7 @@ func (s *keySet) posIDs(ids []uint64) (int, bool) {
 }
 
 // hasIDs answers membership for a tuple whose value ids are already in
-// hand (interned mode only — the zero-allocation dedup probe of the
-// streaming head path).
+// hand (the zero-allocation dedup probe of the head path).
 func (s *keySet) hasIDs(ids []uint64) bool {
 	if k, ok := arrKeyIDs(ids); ok {
 		_, has := s.arr[k]
@@ -179,8 +146,7 @@ func (s *keySet) hasIDs(ids []uint64) bool {
 	return has
 }
 
-// addIDsAt inserts a tuple by its value ids with its row index (interned
-// mode only).
+// addIDsAt inserts a tuple by its value ids with its row index.
 func (s *keySet) addIDsAt(ids []uint64, pos int) {
 	if k, ok := arrKeyIDs(ids); ok {
 		s.arr[k] = pos
@@ -193,23 +159,14 @@ func (s *keySet) addIDsAt(ids []uint64, pos int) {
 }
 
 func (s *keySet) remove(t row) {
-	if s.in != nil {
-		if k, ok := arrKey(t); ok {
-			delete(s.arr, k)
-			return
-		}
-		delete(s.ids, s.in.rowKey64(t))
+	if k, ok := arrKey(t); ok {
+		delete(s.arr, k)
 		return
 	}
-	delete(s.strs, rowKey(t))
+	delete(s.ids, s.in.rowKey64(t))
 }
 
-func (s *keySet) len() int {
-	if s.in != nil {
-		return len(s.arr) + len(s.ids)
-	}
-	return len(s.strs)
-}
+func (s *keySet) len() int { return len(s.arr) + len(s.ids) }
 
 // relation holds the derived tuples of one IDB predicate, with the delta
 // bookkeeping needed by semi-naive evaluation: rows is the full extent,
@@ -228,9 +185,9 @@ type relation struct {
 	// their first in-place removal (see locate).
 	located bool
 
-	// Interned mode: per-row value ids, aligned with rows/delta/next.
-	// Computed once when a tuple enters the relation, so index building
-	// and match bindings never re-probe the value intern table.
+	// Per-row value ids, aligned with rows/delta/next. Computed once when
+	// a tuple enters the relation, so index building and match bindings
+	// never re-probe the value intern table.
 	vids      [][]uint64
 	deltaVids [][]uint64
 	nextVids  [][]uint64
@@ -248,11 +205,9 @@ type relation struct {
 	idx map[int]*posIndex
 }
 
-// posIndex indexes one argument position of a relation, keyed like the
-// relation's keySet: interned ids or rendered strings.
+// posIndex indexes one argument position of a relation by value id.
 type posIndex struct {
 	vals    map[uint64][]int
-	valsS   map[string][]int
 	covered int // rows[:covered] are indexed
 }
 
@@ -264,18 +219,11 @@ func newRelationSized(in *pairInterner, n int) *relation {
 	return &relation{keys: newKeySet(in, n)}
 }
 
-func (r *relation) interned() bool { return r.keys.in != nil }
-
 // lookup64 returns the indexes of rows whose argument at pos has the
 // given interned value id. The index for a position is built on first use
 // and extended to cover new rows on later calls.
 func (r *relation) lookup64(pos int, key uint64) []int {
 	return r.extendIndex(pos).vals[key]
-}
-
-// lookupStr is lookup64 for string-keyed (materializing) relations.
-func (r *relation) lookupStr(pos int, key string) []int {
-	return r.extendIndex(pos).valsS[key]
 }
 
 // extendIndex creates or extends the position index to cover all rows.
@@ -290,32 +238,18 @@ func (r *relation) extendIndex(pos int) *posIndex {
 		r.idx = make(map[int]*posIndex)
 	}
 	if !ok {
-		pi = &posIndex{}
-		if r.interned() {
-			pi.vals = make(map[uint64][]int, len(r.rows))
-		} else {
-			pi.valsS = make(map[string][]int, len(r.rows))
-		}
+		pi = &posIndex{vals: make(map[uint64][]int, len(r.rows))}
 		r.idx[pos] = pi
 	}
-	if r.interned() {
-		for i := pi.covered; i < len(r.rows); i++ {
-			if pos < len(r.rows[i]) {
-				var k uint64
-				if i < len(r.vids) && pos < len(r.vids[i]) {
-					k = r.vids[i][pos]
-				} else {
-					k = valueID(r.rows[i][pos])
-				}
-				pi.vals[k] = append(pi.vals[k], i)
+	for i := pi.covered; i < len(r.rows); i++ {
+		if pos < len(r.rows[i]) {
+			var k uint64
+			if i < len(r.vids) && pos < len(r.vids[i]) {
+				k = r.vids[i][pos]
+			} else {
+				k = valueID(r.rows[i][pos])
 			}
-		}
-	} else {
-		for i := pi.covered; i < len(r.rows); i++ {
-			if pos < len(r.rows[i]) {
-				k := r.rows[i][pos].String()
-				pi.valsS[k] = append(pi.valsS[k], i)
-			}
+			pi.vals[k] = append(pi.vals[k], i)
 		}
 	}
 	pi.covered = len(r.rows)
@@ -330,9 +264,7 @@ func (r *relation) propose(t row) bool {
 		return false
 	}
 	r.next = append(r.next, t)
-	if r.interned() {
-		r.nextVids = append(r.nextVids, vidsOf(t))
-	}
+	r.nextVids = append(r.nextVids, vidsOf(t))
 	return true
 }
 
@@ -345,7 +277,7 @@ const (
 )
 
 // proposeIDs records a freshly derived tuple whose value ids are already
-// computed (the streaming head path reads them from frame caches). The
+// computed (the head path reads them from frame caches). The
 // values and ids are copied out of the caller's scratch buffers into the
 // relation's arena — tuples are sliced off chunked backing arrays, so
 // admitting a new tuple costs amortized zero allocations. The caller has
@@ -374,16 +306,12 @@ func (r *relation) advance() bool {
 	r.delta, r.deltaVids = r.next, r.nextVids
 	if n := len(r.delta); n > 0 {
 		r.next = make([]row, 0, n)
-		if r.interned() {
-			r.nextVids = make([][]uint64, 0, n)
-		}
+		r.nextVids = make([][]uint64, 0, n)
 	} else {
 		r.next, r.nextVids = nil, nil
 	}
 	r.rows = append(r.rows, r.delta...)
-	if r.interned() {
-		r.vids = append(r.vids, r.deltaVids...)
-	}
+	r.vids = append(r.vids, r.deltaVids...)
 	return len(r.delta) > 0
 }
 
@@ -400,8 +328,8 @@ func (r *relation) locate() {
 	r.located = true
 }
 
-// exactRow returns the index of the row a fully bound step matches
-// (interned relations only), keying it by the frame's value ids.
+// exactRow returns the index of the row a fully bound step matches,
+// keying it by the frame's value ids.
 func (r *relation) exactRow(st *planStep, fr *frame) (int, bool) {
 	if cap(fr.probeIDs) < len(st.args) {
 		fr.probeIDs = make([]uint64, len(st.args))
@@ -421,12 +349,10 @@ func (r *relation) appendRow(t row, ids []uint64) {
 		r.keys.addAt(t, len(r.rows))
 	}
 	r.rows = append(r.rows, t)
-	if r.interned() {
-		if ids == nil {
-			ids = vidsOf(t)
-		}
-		r.vids = append(r.vids, ids)
+	if ids == nil {
+		ids = vidsOf(t)
 	}
+	r.vids = append(r.vids, ids)
 }
 
 // removeRow deletes the tuple from the extent in place, returning the
@@ -439,7 +365,7 @@ func (r *relation) removeRow(t row) (row, []uint64) {
 	if !ok || i >= len(r.rows) {
 		return nil, nil
 	}
-	withIDs := r.interned() && len(r.vids) == len(r.rows)
+	withIDs := len(r.vids) == len(r.rows)
 	last := len(r.rows) - 1
 	own := r.rows[i]
 	var ownIDs []uint64
@@ -475,50 +401,31 @@ func (r *relation) removeRow(t row) (row, []uint64) {
 	return own, ownIDs
 }
 
-// indexKey is the join-index key of rows[i] at argument position pos,
-// exactly as extendIndex computes it.
-type indexKey struct {
-	id  uint64
-	str string
-}
-
-func (r *relation) indexKey(i, pos int) indexKey {
+// indexKey is the join-index key of rows[i] at argument position pos:
+// the row's carried value id, or the value's interned id.
+func (r *relation) indexKey(i, pos int) uint64 {
 	t := r.rows[i]
 	if pos >= len(t) {
-		return indexKey{}
-	}
-	if !r.interned() {
-		return indexKey{str: t[pos].String()}
+		return invalidID
 	}
 	if i < len(r.vids) && pos < len(r.vids[i]) {
-		return indexKey{id: r.vids[i][pos]}
+		return r.vids[i][pos]
 	}
-	return indexKey{id: valueID(t[pos])}
+	return valueID(t[pos])
 }
 
 // drop removes row index i from the posting list of k.
-func (pi *posIndex) drop(k indexKey, i int) {
-	if pi.vals != nil {
-		if l := dropIndex(pi.vals[k.id], i); len(l) == 0 {
-			delete(pi.vals, k.id)
-		} else {
-			pi.vals[k.id] = l
-		}
-		return
-	}
-	if l := dropIndex(pi.valsS[k.str], i); len(l) == 0 {
-		delete(pi.valsS, k.str)
+func (pi *posIndex) drop(k uint64, i int) {
+	if l := dropIndex(pi.vals[k], i); len(l) == 0 {
+		delete(pi.vals, k)
 	} else {
-		pi.valsS[k.str] = l
+		pi.vals[k] = l
 	}
 }
 
 // move renames row index from to to in the posting list of k.
-func (pi *posIndex) move(k indexKey, from, to int) {
-	l := pi.valsS[k.str]
-	if pi.vals != nil {
-		l = pi.vals[k.id]
-	}
+func (pi *posIndex) move(k uint64, from, to int) {
+	l := pi.vals[k]
 	for j, x := range l {
 		if x == from {
 			l[j] = to

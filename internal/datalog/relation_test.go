@@ -6,16 +6,9 @@ import (
 	"videodb/internal/object"
 )
 
-// both runs a relation test in the interned-key (streaming) and
-// string-key (materializing ablation) modes.
-func both(t *testing.T, fn func(t *testing.T, in *pairInterner)) {
-	t.Run("interned", func(t *testing.T) { fn(t, newPairInterner()) })
-	t.Run("strings", func(t *testing.T) { fn(t, nil) })
-}
-
 func TestRelationProposeAdvance(t *testing.T) {
-	both(t, func(t *testing.T, in *pairInterner) {
-		r := newRelation(in)
+	t.Run("interned", func(t *testing.T) {
+		r := newRelation(newPairInterner())
 		a := row{object.Num(1), object.Str("x")}
 		if !r.propose(a) {
 			t.Error("first propose should be new")
@@ -41,18 +34,14 @@ func TestRelationProposeAdvance(t *testing.T) {
 	})
 }
 
-// lookupVal probes position pos for the value through whichever index
-// the relation's key mode uses.
+// lookupVal probes position pos for the value through the join index.
 func lookupVal(r *relation, pos int, v object.Value) []int {
-	if r.interned() {
-		return r.lookup64(pos, valueID(v))
-	}
-	return r.lookupStr(pos, v.String())
+	return r.lookup64(pos, valueID(v))
 }
 
 func TestRelationLookup(t *testing.T) {
-	both(t, func(t *testing.T, in *pairInterner) {
-		r := newRelation(in)
+	t.Run("interned", func(t *testing.T) {
+		r := newRelation(newPairInterner())
 		for i := 0; i < 10; i++ {
 			r.propose(row{object.Num(float64(i % 3)), object.Num(float64(i))})
 		}

@@ -14,9 +14,10 @@ import (
 
 // This file checks the engine against the paper's declarative semantics
 // (Definitions 14–22, Theorems 1 and 3) using an independent
-// reference implementation of the immediate consequence operator TP:
-// valuations are enumerated by brute force over the active domain, with
-// no sharing of the engine's join machinery.
+// implementation of the immediate consequence operator TP: valuations
+// are enumerated by brute force over the active domain, with no sharing
+// of the engine's join machinery, and filters are decided by the
+// reference evaluator (reference_test.go).
 
 // groundAtoms is an interpretation: a set of ground relational atoms.
 type groundAtoms map[string]row // key: pred \x00 rowKey
@@ -28,12 +29,9 @@ func atomKey(pred string, t row) string { return pred + "\x00" + rowKey(t) }
 // variables over the active domain.
 func refTP(t *testing.T, st *store.Store, p Program, I groundAtoms) groundAtoms {
 	t.Helper()
-	// Filter atoms are evaluated with the engine's operand resolution,
+	// Filter atoms are decided by the reference evaluator's literal check,
 	// which only consults the store (no derived state involved).
-	filterCtx, err := NewEngine(st, NewProgram())
-	if err != nil {
-		t.Fatal(err)
-	}
+	filterCtx := newRefEval(st)
 
 	// Active domain: every value appearing in the store or in I.
 	domainSet := map[string]object.Value{}
@@ -116,7 +114,7 @@ func refTP(t *testing.T, st *store.Store, p Program, I groundAtoms) groundAtoms 
 
 // refRuleFires checks every body literal under the total valuation
 // (Definition 16).
-func refRuleFires(t *testing.T, filterCtx *Engine, st *store.Store, r Rule, b bindings, holds func(string, row) bool) bool {
+func refRuleFires(t *testing.T, filterCtx *refEval, st *store.Store, r Rule, b bindings, holds func(string, row) bool) bool {
 	t.Helper()
 	for _, l := range r.Body {
 		switch a := l.(type) {
@@ -158,7 +156,7 @@ func refRuleFires(t *testing.T, filterCtx *Engine, st *store.Store, r Rule, b bi
 				return false
 			}
 		default:
-			ok, err := filterCtx.evalFilter(l, b)
+			ok, err := filterCtx.literal(l, refEnv(b))
 			if err != nil || !ok {
 				return false
 			}
@@ -228,7 +226,7 @@ func engineAtoms(t *testing.T, e *Engine, p Program, st *store.Store) groundAtom
 
 // semanticsFixture builds a small store and a program using class atoms,
 // constraints, recursion and (optionally) negation — but no constructive
-// rules, which the reference evaluator does not model.
+// rules, which refTP does not model.
 func semanticsFixture(seed int64, withNeg bool) (*store.Store, Program) {
 	r := rand.New(rand.NewSource(seed))
 	st := store.New()

@@ -15,10 +15,8 @@ import (
 
 // snapshotModes are the evaluators the answers must agree across.
 var snapshotModes = map[string][]Option{
-	"streaming":     nil,
-	"naive":         {Naive()},
-	"materializing": {WithoutStreaming()},
-	"no-plan-cache": {WithoutPlanCache()},
+	"semi-naive": nil,
+	"naive":      {Naive()},
 }
 
 // snapshotAnswer runs the program under every mode, checks the snapshot

@@ -7,10 +7,9 @@ import (
 	"videodb/internal/store"
 )
 
-// Streaming execution: the default evaluator pulls tuples through a
-// rule's compiled plan with composable iterator operators instead of the
-// recursive join kernel. Each plan step becomes an operator with
-// open/next/close behavior over a shared frame:
+// Streaming execution: the engine pulls tuples through a rule's compiled
+// plan with composable iterator operators. Each plan step becomes an
+// operator with open/next/close behavior over a shared frame:
 //
 //   scan/index-probe (stepRel)   — cursor over an extent, delta, or a
 //                                  constant-pushdown store scan, probing
@@ -24,11 +23,9 @@ import (
 //
 // The pipeline is demand-driven: a tuple flows to the head as soon as
 // every operator accepts it, so no per-literal intermediate relation is
-// materialized, and cancellation (tick) cuts mid-stream. The executor is
-// exactly equivalent to the recursive kernel — same plan order, same
-// matches, same error surfaces — which the differential oracle asserts;
-// WithoutStreaming selects the recursive kernel as the materializing
-// ablation.
+// materialized, and cancellation (tick) cuts mid-stream. The
+// differential oracle (TestEngineMatchesReference) holds its fixpoints to
+// the reference evaluator's.
 
 // opState is the runtime state of one operator.
 type opState struct {
@@ -255,9 +252,7 @@ func (e *Engine) scanFiltered(pred, sig string, binds []store.ArgBind) *relation
 	rel := newRelation(e.in)
 	e.src.ScanFacts(pred, binds, func(f store.Fact) bool {
 		rel.rows = append(rel.rows, row(f.Args))
-		if rel.interned() {
-			rel.vids = append(rel.vids, vidsOf(row(f.Args)))
-		}
+		rel.vids = append(rel.vids, vidsOf(row(f.Args)))
 		return true
 	})
 	e.edbCache[sig] = rel

@@ -12,43 +12,9 @@ import (
 	"videodb/internal/store"
 )
 
-// Differential oracle for the streaming executor: the iterator pipeline
-// with interned row keys, store pushdown, and window pushdown must
-// produce exactly the fixpoint of the materializing evaluator
-// (WithoutStreaming — the recursive join kernel with string row keys, as
-// the evaluator existed before this refactor), which itself matches the
-// seed semantics through the compiled-evaluator oracle. The executors
-// share plans and matching order, so extents, created objects, Derived,
-// and Firings must all be identical.
-
-// TestStreamingMatchesMaterializing compares the default (streaming)
-// engine against the WithoutStreaming ablation on every oracle case,
-// including negation, constructive rules, and randomized instances.
-func TestStreamingMatchesMaterializing(t *testing.T) {
-	for _, tc := range oracleCases(t) {
-		mat := mustEngine(t, tc.st, tc.prog, WithoutStreaming())
-		matExt, matCreated, matStats := fixpointOf(t, mat, tc.prog)
-
-		str := mustEngine(t, tc.st, tc.prog)
-		strExt, strCreated, strStats := fixpointOf(t, str, tc.prog)
-
-		sameExtents(t, tc.name, "streaming vs materializing", strExt, matExt)
-		sameCreated(t, tc.name, "streaming vs materializing", strCreated, matCreated)
-		if strStats.Derived != matStats.Derived {
-			t.Fatalf("%s: Derived %d vs %d", tc.name, strStats.Derived, matStats.Derived)
-		}
-		if strStats.Firings != matStats.Firings {
-			t.Fatalf("%s: Firings %d vs %d", tc.name, strStats.Firings, matStats.Firings)
-		}
-		if strStats.Created != matStats.Created {
-			t.Fatalf("%s: Created %d vs %d", tc.name, strStats.Created, matStats.Created)
-		}
-	}
-}
-
 // TestStreamingIncrementalMatches runs randomized insert/delete batches
-// through Apply in both execution modes and compares each against a
-// from-scratch fixpoint of the mutated store.
+// through Apply and compares each against a from-scratch fixpoint of the
+// mutated store.
 func TestStreamingIncrementalMatches(t *testing.T) {
 	p := NewProgram(
 		NewRule(Rel("reach", Var("X"), Var("Y")), Rel("edge", Var("X"), Var("Y"))),
@@ -73,19 +39,11 @@ func TestStreamingIncrementalMatches(t *testing.T) {
 				present[e] = true
 			}
 		}
-		// Each mode runs on the pre-batch store and applies the batch in
+		// The engine runs on the pre-batch store and applies the batch in
 		// place.
-		modes := []struct {
-			label string
-			eng   *Engine
-		}{
-			{"streaming", mustEngine(t, s, p)},
-			{"materializing", mustEngine(t, s, p, WithoutStreaming())},
-		}
-		for _, mode := range modes {
-			if err := mode.eng.RunAt(nil); err != nil {
-				t.Fatal(err)
-			}
+		eng := mustEngine(t, s, p)
+		if err := eng.RunAt(nil); err != nil {
+			t.Fatal(err)
 		}
 		before := make(map[[2]string]bool, len(present))
 		for e := range present {
@@ -115,22 +73,20 @@ func TestStreamingIncrementalMatches(t *testing.T) {
 
 		want := mustEngine(t, s, p)
 		wantExt, _, _ := fixpointOf(t, want, p)
-		for _, mode := range modes {
-			if _, _, err := mode.eng.Apply(context.Background(), ins, del); err != nil {
-				t.Fatalf("seed %d (%s): %v", seed, mode.label, err)
-			}
-			rows, err := mode.eng.Rows("reach")
-			if err != nil {
-				t.Fatal(err)
-			}
-			keys := make([]string, len(rows))
-			for i, row := range rows {
-				keys[i] = rowKey(row)
-			}
-			got := map[string][]string{"reach": keys}
-			sameExtents(t, fmt.Sprintf("seed-%d", seed), mode.label+" incremental vs recompute",
-				got, map[string][]string{"reach": wantExt["reach"]})
+		if _, _, err := eng.Apply(context.Background(), ins, del); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
+		rows, err := eng.Rows("reach")
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, len(rows))
+		for i, row := range rows {
+			keys[i] = rowKey(row)
+		}
+		got := map[string][]string{"reach": keys}
+		sameExtents(t, fmt.Sprintf("seed-%d", seed), "incremental vs recompute",
+			got, map[string][]string{"reach": wantExt["reach"]})
 	}
 }
 
@@ -156,7 +112,7 @@ func (c *trippingContext) Err() error {
 
 // TestStreamingMidStreamCancellation verifies that the pull pipeline
 // observes cancellation between tuples of a large join — not just at
-// round boundaries — in both execution modes.
+// round boundaries.
 func TestStreamingMidStreamCancellation(t *testing.T) {
 	s := store.New()
 	const n = 120 // n^2 candidate pairs per round ≫ cancelCheckInterval
@@ -167,26 +123,17 @@ func TestStreamingMidStreamCancellation(t *testing.T) {
 	p := NewProgram(
 		NewRule(Rel("pair", Var("X"), Var("Y")), Rel("a", Var("X")), Rel("b", Var("Y"))),
 	)
-	for _, mode := range []struct {
-		label string
-		opts  []Option
-	}{
-		{"streaming", nil},
-		{"materializing", []Option{WithoutStreaming()}},
-	} {
-		ctx := &trippingContext{tripAt: 3} // survives the run preamble, dies inside the join
-		opts := append([]Option{WithContext(ctx)}, mode.opts...)
-		e := mustEngine(t, s, p, opts...)
-		err := e.Run()
-		if !IsCanceled(err) {
-			t.Fatalf("%s: want cancellation error, got %v", mode.label, err)
-		}
-		if !ctx.tripped.Load() {
-			t.Fatalf("%s: context never tripped", mode.label)
-		}
-		// The run died mid-join: strictly between zero and n^2 pairs fired.
-		if f := e.Stats().Firings; f >= n*n {
-			t.Fatalf("%s: run completed (%d firings) despite cancellation", mode.label, f)
-		}
+	ctx := &trippingContext{tripAt: 3} // survives the run preamble, dies inside the join
+	e := mustEngine(t, s, p, WithContext(ctx))
+	err := e.Run()
+	if !IsCanceled(err) {
+		t.Fatalf("want cancellation error, got %v", err)
+	}
+	if !ctx.tripped.Load() {
+		t.Fatal("context never tripped")
+	}
+	// The run died mid-join: strictly between zero and n^2 pairs fired.
+	if f := e.Stats().Firings; f >= n*n {
+		t.Fatalf("run completed (%d firings) despite cancellation", f)
 	}
 }

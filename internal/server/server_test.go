@@ -26,8 +26,13 @@ in(o1, o2, gi1).
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(db))
+	srv := New(db)
+	ts := httptest.NewServer(srv)
+	// Cleanups run last-registered first: the server's subscriptions and
+	// webhook deliveries, then the HTTP server, then the database.
+	t.Cleanup(func() { db.Close() })
 	t.Cleanup(ts.Close)
+	t.Cleanup(srv.Close)
 	return ts
 }
 

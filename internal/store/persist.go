@@ -135,7 +135,6 @@ func (s *Store) Load(r io.Reader) error {
 	fresh := NewWith()
 	fresh.disableEntityIdx = s.disableEntityIdx
 	fresh.disableTreeIdx = s.disableTreeIdx
-	fresh.disableAttrIdx = s.disableAttrIdx
 	for _, o := range snap.Objects {
 		if err := fresh.Put(o); err != nil {
 			return err
@@ -149,9 +148,7 @@ func (s *Store) Load(r io.Reader) error {
 	s.objects = fresh.objects
 	s.facts = fresh.facts
 	s.entityIdx = fresh.entityIdx
-	s.attrIdx = fresh.attrIdx
 	s.itreeOK = false
-	s.numIdxOK = false
 	// The relation set may have changed wholesale; invalidate cached
 	// plans keyed on the schema version.
 	s.schemaVer++

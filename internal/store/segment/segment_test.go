@@ -448,10 +448,6 @@ func TestObjectSnapshotRoundTrip(t *testing.T) {
 	if got == nil || !got.Attr("name").Equal(object.Str("Philip")) {
 		t.Fatalf("object not recovered: %v", got)
 	}
-	// Secondary indexes were rebuilt from recovered objects.
-	if ids := re.FindByAttr("name", object.Str("Philip")); len(ids) != 1 || ids[0] != "p1" {
-		t.Fatalf("FindByAttr after restart = %v", ids)
-	}
 }
 
 // TestSnapshotExportFromBackend: Save/SaveFile work on a backend store

@@ -6,11 +6,7 @@
 //   - an inverted index from entity oid to the generalized intervals whose
 //     λ1 contains it (the "O ∈ G.entities" constraint);
 //   - a centered interval tree over interval durations (temporal stabbing
-//     and overlap queries, i.e. duration entailment pre-filtering);
-//   - a hash index from (attribute, value) to objects (the "O.A = val"
-//     constraint);
-//   - a sorted numeric index per attribute for range scans
-//     (FindByAttrRange).
+//     and overlap queries, i.e. duration entailment pre-filtering).
 //
 // A store built with New is volatile; OpenBackend makes it durable by
 // routing facts and object mutations through a persistent Backend (the
@@ -44,16 +40,12 @@ type Store struct {
 	// Secondary indexes (see package comment). Maintained incrementally
 	// except for the interval tree, which is rebuilt lazily.
 	entityIdx map[object.OID]map[object.OID]bool // entity -> interval oids
-	attrIdx   map[attrKey]map[object.OID]bool
 	itree     *intervalTree
 	itreeOK   bool
-	numIdx    map[string][]numEntry
-	numIdxOK  bool
 
 	// Index switches for the E10 ablation; all on by default.
 	disableEntityIdx bool
 	disableTreeIdx   bool
-	disableAttrIdx   bool
 
 	// Relation-schema version: bumped whenever the set of relation names
 	// changes. Read by SchemaVersion; plan caches key on it.
@@ -69,18 +61,12 @@ type Store struct {
 	backendErr error
 }
 
-type attrKey struct {
-	attr  string
-	value string // canonical Value.String()
-}
-
 // New creates an empty store.
 func New() *Store {
 	return &Store{
 		objects:   make(map[object.OID]*object.Object),
 		facts:     make(map[string]*factRel),
 		entityIdx: make(map[object.OID]map[object.OID]bool),
-		attrIdx:   make(map[attrKey]map[object.OID]bool),
 	}
 }
 
@@ -94,9 +80,6 @@ func WithoutEntityIndex() Option { return func(s *Store) { s.disableEntityIdx = 
 // WithoutTemporalIndex disables the interval tree (temporal queries fall
 // back to scans).
 func WithoutTemporalIndex() Option { return func(s *Store) { s.disableTreeIdx = true } }
-
-// WithoutAttrIndex disables the attribute hash index.
-func WithoutAttrIndex() Option { return func(s *Store) { s.disableAttrIdx = true } }
 
 // NewWith creates an empty store with the given options.
 func NewWith(opts ...Option) *Store {
@@ -292,7 +275,6 @@ func (s *Store) ForEach(fn func(*object.Object) bool) {
 
 func (s *Store) index(o *object.Object) {
 	s.itreeOK = false
-	s.numIdxOK = false
 	if !s.disableEntityIdx && o.Kind() == object.GenInterval {
 		for _, e := range o.Entities() {
 			set := s.entityIdx[e]
@@ -303,39 +285,16 @@ func (s *Store) index(o *object.Object) {
 			set[o.OID()] = true
 		}
 	}
-	if !s.disableAttrIdx {
-		for _, a := range o.Attrs() {
-			k := attrKey{attr: a, value: o.Attr(a).String()}
-			set := s.attrIdx[k]
-			if set == nil {
-				set = make(map[object.OID]bool)
-				s.attrIdx[k] = set
-			}
-			set[o.OID()] = true
-		}
-	}
 }
 
 func (s *Store) unindex(o *object.Object) {
 	s.itreeOK = false
-	s.numIdxOK = false
 	if !s.disableEntityIdx && o.Kind() == object.GenInterval {
 		for _, e := range o.Entities() {
 			if set := s.entityIdx[e]; set != nil {
 				delete(set, o.OID())
 				if len(set) == 0 {
 					delete(s.entityIdx, e)
-				}
-			}
-		}
-	}
-	if !s.disableAttrIdx {
-		for _, a := range o.Attrs() {
-			k := attrKey{attr: a, value: o.Attr(a).String()}
-			if set := s.attrIdx[k]; set != nil {
-				delete(set, o.OID())
-				if len(set) == 0 {
-					delete(s.attrIdx, k)
 				}
 			}
 		}
@@ -365,30 +324,6 @@ func (s *Store) IntervalsContaining(entity object.OID) []object.OID {
 		return out
 	}
 	set := s.entityIdx[entity]
-	out := make([]object.OID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// FindByAttr returns the sorted oids of objects whose attribute attr has
-// exactly the value v (canonical comparison).
-func (s *Store) FindByAttr(attr string, v object.Value) []object.OID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.disableAttrIdx {
-		var out []object.OID
-		for id, o := range s.objects {
-			if o.Has(attr) && o.Attr(attr).Equal(v) {
-				out = append(out, id)
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
-	}
-	set := s.attrIdx[attrKey{attr: attr, value: v.String()}]
 	out := make([]object.OID, 0, len(set))
 	for id := range set {
 		out = append(out, id)
@@ -486,7 +421,7 @@ type Stats struct {
 	Intervals  int
 	Facts      int
 	Relations  int
-	IndexTerms int // entity-index entries + attr-index entries
+	IndexTerms int // entity-index entries
 }
 
 // Stats returns current statistics.
@@ -510,6 +445,6 @@ func (s *Store) Stats() Stats {
 			st.Facts += rel.live()
 		}
 	}
-	st.IndexTerms = len(s.entityIdx) + len(s.attrIdx)
+	st.IndexTerms = len(s.entityIdx)
 	return st
 }

@@ -172,33 +172,6 @@ func TestEntityIndex(t *testing.T) {
 	}
 }
 
-func TestAttrIndex(t *testing.T) {
-	for _, disabled := range []bool{false, true} {
-		var s *Store
-		if disabled {
-			s = newTestStore(t, WithoutAttrIndex())
-		} else {
-			s = newTestStore(t)
-		}
-		if got := s.FindByAttr("role", object.Str("Murderer")); !oidsEqual(got, "o2", "o3") {
-			t.Errorf("disabled=%v: FindByAttr(role=Murderer) = %v", disabled, got)
-		}
-		if got := s.FindByAttr("subject", object.Str("murder")); !oidsEqual(got, "gi1", "gi3") {
-			t.Errorf("disabled=%v: FindByAttr(subject=murder) = %v", disabled, got)
-		}
-		if got := s.FindByAttr("role", object.Str("Nobody")); len(got) != 0 {
-			t.Errorf("disabled=%v: no match expected, got %v", disabled, got)
-		}
-		s.Update("o3", func(o *object.Object) error {
-			o.Set("role", object.Str("Accomplice"))
-			return nil
-		})
-		if got := s.FindByAttr("role", object.Str("Murderer")); !oidsEqual(got, "o2") {
-			t.Errorf("disabled=%v: after update = %v", disabled, got)
-		}
-	}
-}
-
 func TestTemporalQueries(t *testing.T) {
 	for _, disabled := range []bool{false, true} {
 		var s *Store
@@ -282,43 +255,4 @@ func TestConcurrentAccess(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-}
-
-func TestFindByAttrRange(t *testing.T) {
-	s := New()
-	for i, v := range []float64{5, 1, 9, 3, 7, 3} {
-		s.Put(object.NewEntity(object.OID(string(rune('a'+i)))).Set("score", object.Num(v)))
-	}
-	s.Put(object.NewEntity("nostr").Set("score", object.Str("not numeric")))
-	s.Put(object.NewEntity("noattr"))
-
-	if got := s.FindByAttrRange("score", interval.Closed(3, 7)); !oidsEqual(got, "a", "d", "e", "f") {
-		t.Errorf("[3,7] = %v", got)
-	}
-	// Open endpoints exclude the bounds.
-	if got := s.FindByAttrRange("score", interval.Open(3, 7)); !oidsEqual(got, "a") {
-		t.Errorf("(3,7) = %v", got)
-	}
-	if got := s.FindByAttrRange("score", interval.Closed(100, 200)); len(got) != 0 {
-		t.Errorf("far range = %v", got)
-	}
-	if got := s.FindByAttrRange("score", interval.Span{Lo: 2, Hi: 1}); got != nil {
-		t.Errorf("empty span = %v", got)
-	}
-	if got := s.FindByAttrRange("missing", interval.Closed(0, 10)); len(got) != 0 {
-		t.Errorf("unknown attr = %v", got)
-	}
-	// Index follows writes.
-	s.Put(object.NewEntity("z").Set("score", object.Num(4)))
-	if got := s.FindByAttrRange("score", interval.Closed(4, 4)); !oidsEqual(got, "z") {
-		t.Errorf("after insert = %v", got)
-	}
-	s.Delete("z")
-	if got := s.FindByAttrRange("score", interval.Closed(4, 4)); len(got) != 0 {
-		t.Errorf("after delete = %v", got)
-	}
-	// Unbounded span.
-	if got := s.FindByAttrRange("score", interval.AtLeast(7)); !oidsEqual(got, "c", "e") {
-		t.Errorf("[7,inf) = %v", got)
-	}
 }

@@ -1,17 +1,13 @@
 package store
 
 import (
-	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
-	"videodb/internal/interval"
 	"videodb/internal/object"
 )
 
-// Write-path tests: tombstone-based fact deletion, the reader-parallel
-// range index, and the changelog. The durable write path's failure
+// Write-path tests: tombstone-based fact deletion and the changelog. The durable write path's failure
 // contract is in durable_test.go.
 
 // TestDeleteFactOrderPreserved is the S3 regression test: tombstone-based
@@ -71,46 +67,6 @@ func TestDeleteFactOrderPreserved(t *testing.T) {
 		}
 		check("compacting deletes")
 	}
-}
-
-// TestFindByAttrRangeConcurrent exercises the RLock fast path: many
-// readers share the cached index while a writer keeps invalidating it.
-// Run with -race; the assertion is that results are always consistent
-// snapshots (sorted, within range).
-func TestFindByAttrRangeConcurrent(t *testing.T) {
-	s := New()
-	for i := 0; i < 64; i++ {
-		s.Put(object.NewEntity(object.OID(fmt.Sprintf("o%02d", i))).
-			Set("score", object.Num(float64(i))))
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 6; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				got := s.FindByAttrRange("score", interval.Closed(10, 50))
-				for i, id := range got {
-					if i > 0 && got[i-1] >= id {
-						t.Errorf("unsorted result: %v", got)
-						return
-					}
-				}
-			}
-		}()
-	}
-	for i := 0; i < 200; i++ {
-		s.Put(object.NewEntity(object.OID(fmt.Sprintf("o%02d", i%64))).
-			Set("score", object.Num(float64(i%97))))
-	}
-	close(stop)
-	wg.Wait()
 }
 
 // TestSubscribeChangelog pins the changelog contract: acknowledged
