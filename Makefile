@@ -26,8 +26,8 @@ vet-examples:
 	fi; \
 	echo "examples vet clean"
 
-# lint runs the project's own static-analysis suite (videolint: lockcheck,
-# ctxcheck, errlatch, metriccheck — see DESIGN.md §5j) over the whole tree,
+# lint runs the project's own static-analysis suite (videolint: lockcheck
+# and ctxcheck — see DESIGN.md §5j) over the whole tree,
 # plus staticcheck when it is installed. The vettool binary is built into
 # bin/ and reused; any unsuppressed diagnostic fails the target.
 VIDEOLINT := bin/videolint
@@ -73,8 +73,9 @@ race:
 
 # fuzz-smoke runs every native fuzz target (the VideoQL parser, the
 # interval notation parser, the static analyzer, the snapshot decoder,
-# the value JSON encoder, the segment block-record decoder and tail-log
-# replay) for 5s each; go test -fuzz takes one target per invocation.
+# the value JSON encoder, the segment block-record decoder, tail-log
+# replay, and the segment reader: footer, index, dictionary and blocks)
+# for 5s each; go test -fuzz takes one target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/interval
@@ -83,6 +84,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzValueJSON$$' -fuzztime 5s ./internal/object
 	$(GO) test -run '^$$' -fuzz '^FuzzEachRecord$$' -fuzztime 5s ./internal/store/segment
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayTail$$' -fuzztime 5s ./internal/store/segment
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenSegment$$' -fuzztime 5s ./internal/store/segment
 
 # bench reproduces the paper experiments E1–E11, E13 and E15 (the root
 # bench_test.go; EXPERIMENTS.md records a reference run).

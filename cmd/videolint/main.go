@@ -1,5 +1,5 @@
 // Command videolint runs the project's static-analysis suite
-// (lockcheck, ctxcheck, errlatch, metriccheck — see internal/lint).
+// (lockcheck and ctxcheck — see internal/lint).
 //
 // Standalone:
 //

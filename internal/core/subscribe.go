@@ -583,7 +583,7 @@ tuple:
 		}
 		rows = append(rows, r)
 	}
-	return sortAnswer(rows)
+	return datalog.SortRows(rows)
 }
 
 // pruneStamps drops frame stamps that have aged past every window.
@@ -714,50 +714,17 @@ func snapshotEvent(rows [][]object.Value) SubEvent {
 	return SubEvent{Kind: SubSnapshot, Rows: rows}
 }
 
-// sortAnswer puts rows in answer order — by rendered key, ties by value
-// order, as Engine.Query sorts — computing each key once.
-func sortAnswer(rows [][]object.Value) [][]object.Value {
-	keys := answerKeys(rows)
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		return compareAnswer(keys[idx[a]], rows[idx[a]], keys[idx[b]], rows[idx[b]]) < 0
-	})
-	out := make([][]object.Value, len(rows))
-	for i, j := range idx {
-		out[i] = rows[j]
-	}
-	return out
-}
-
-func answerKeys(rows [][]object.Value) []string {
-	keys := make([]string, len(rows))
-	for i, r := range rows {
-		keys[i] = subRowKey(r)
-	}
-	return keys
-}
-
-// compareAnswer is the answer order of two rows given their keys.
-func compareAnswer(ka string, a []object.Value, kb string, b []object.Value) int {
-	if c := strings.Compare(ka, kb); c != 0 {
-		return c
-	}
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if c := a[i].Compare(b[i]); c != 0 {
-			return c
-		}
-	}
-	return len(a) - len(b)
-}
-
 // diffAnswers merges two answers in answer order: the rows of next
 // missing from prev, and the rows of prev missing from next, both in
 // answer order.
 func diffAnswers(prev, next [][]object.Value) (plus, minus [][]object.Value) {
-	pk, nk := answerKeys(prev), answerKeys(next)
+	pk, nk := make([]string, len(prev)), make([]string, len(next))
+	for i, r := range prev {
+		pk[i] = datalog.RowKey(r)
+	}
+	for j, r := range next {
+		nk[j] = datalog.RowKey(r)
+	}
 	i, j := 0, 0
 	for i < len(prev) || j < len(next) {
 		var c int
@@ -767,7 +734,7 @@ func diffAnswers(prev, next [][]object.Value) (plus, minus [][]object.Value) {
 		case j == len(next):
 			c = -1
 		default:
-			c = compareAnswer(pk[i], prev[i], nk[j], next[j])
+			c = datalog.CompareKeyed(pk[i], prev[i], nk[j], next[j])
 		}
 		switch {
 		case c < 0:
@@ -990,16 +957,4 @@ func (db *DB) closeSubscriptions() {
 	for _, s := range subs {
 		<-s.done
 	}
-}
-
-// subRowKey is the canonical identity of one answer tuple.
-func subRowKey(r []object.Value) string {
-	var b strings.Builder
-	for i, v := range r {
-		if i > 0 {
-			b.WriteByte(0x1f)
-		}
-		b.WriteString(v.String())
-	}
-	return b.String()
 }

@@ -38,10 +38,10 @@ func (a *subAccum) apply(t *testing.T, ev SubEvent) {
 	case SubSnapshot:
 		a.rows = make(map[string][]object.Value, len(ev.Rows))
 		for _, r := range ev.Rows {
-			a.rows[subRowKey(r)] = r
+			a.rows[datalog.RowKey(r)] = r
 		}
 	case SubDelta:
-		k := subRowKey(ev.Row)
+		k := datalog.RowKey(ev.Row)
 		if ev.Sign > 0 {
 			if _, dup := a.rows[k]; dup {
 				t.Fatalf("+delta for already-present row %q", k)

@@ -69,7 +69,7 @@ func snapshotRows(t *testing.T, p Program, e *Engine) map[string]map[string]bool
 		}
 		set := make(map[string]bool, len(rows))
 		for _, r := range rows {
-			set[rowKey(r)] = true
+			set[RowKey(r)] = true
 		}
 		out[pred] = set
 	}
@@ -82,7 +82,7 @@ func sameSet(t *testing.T, got [][]object.Value, want map[string]bool, label str
 	g := make([]string, len(got))
 	seen := make(map[string]bool, len(got))
 	for i, r := range got {
-		g[i] = rowKey(r)
+		g[i] = RowKey(r)
 		if seen[g[i]] {
 			t.Fatalf("%s: %q reported twice", label, g[i])
 		}

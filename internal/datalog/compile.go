@@ -105,10 +105,11 @@ type planStep struct {
 	// stepRel
 	pred       string
 	args       []argSpec
-	probes     []int  // argument positions statically bound at this step
-	varProbes  []int  // probes bound by variables (probed after constant pushdown)
-	constSig   string // cache key for constant-pushdown scans ("" = no constants)
-	freshSlots []int  // slots this step binds (cleared on backtrack)
+	probes     []int           // argument positions statically bound at this step
+	varProbes  []int           // probes bound by variables (probed after constant pushdown)
+	constSig   string          // cache key for constant-pushdown scans ("" = no constants)
+	constBinds []store.ArgBind // the store bindings of those constants
+	freshSlots []int           // slots this step binds (cleared on backtrack)
 	// exact marks a fully bound step of a rederivation plan: the
 	// executor finds its one candidate row through the
 	// relation's key set instead of building join indexes.
@@ -356,7 +357,7 @@ func (e *Engine) compilePlan(cr *compiledRule, r Rule, deltaPos int) ([]planStep
 			// scan can filter them inside the store instead of copying the
 			// full extent and probing an engine-side index. constSig keys
 			// the per-engine cache of pushed scans.
-			st.constSig, _ = constScan(a)
+			st.constSig, st.constBinds = constScan(a)
 
 		case ClassAtom:
 			st.classKind = a.Kind

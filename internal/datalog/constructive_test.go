@@ -34,7 +34,7 @@ func TestConstructiveConcatenation(t *testing.T) {
 	// (absorption).
 	got := map[string]bool{}
 	for _, r := range rows {
-		got[rowKey(r)] = true
+		got[RowKey(r)] = true
 	}
 	for _, w := range []string{"gi1", "gi2", "gi1+gi2"} {
 		if !got[w] {

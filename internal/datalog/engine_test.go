@@ -226,7 +226,7 @@ func TestRopeDerivedRelations(t *testing.T) {
 		}
 		got := map[string]bool{}
 		for _, r := range rows {
-			got[rowKey(r)] = true
+			got[RowKey(r)] = true
 		}
 		want := []string{
 			"gi1\x1fgi1", "gi2\x1fgi2", "gi3\x1fgi3", // reflexive

@@ -84,21 +84,21 @@ func TestEntailFilterMatchesSolver(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, row := range rows {
-				got[pred+rowKey(row)] = true
+				got[pred+RowKey(row)] = true
 			}
 		}
 		want := 0
 		for a, da := range durs {
 			if solverEntails(da, window) {
 				want++
-				if !got["inwin"+rowKey(row{object.Ref(a)})] {
+				if !got["inwin"+RowKey(row{object.Ref(a)})] {
 					t.Errorf("seed %d: %v => %v holds but inwin(%s) was not derived", seed, da, window, a)
 				}
 			}
 			for b, db := range durs {
 				if solverEntails(da, db) {
 					want++
-					if !got["ent"+rowKey(row{object.Ref(a), object.Ref(b)})] {
+					if !got["ent"+RowKey(row{object.Ref(a), object.Ref(b)})] {
 						t.Errorf("seed %d: %v => %v holds but ent(%s, %s) was not derived", seed, da, db, a, b)
 					}
 				}

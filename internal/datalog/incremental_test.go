@@ -68,10 +68,10 @@ func assertSameRows(t *testing.T, p Program, got, want *Engine, label string) {
 		gk := make([]string, len(g))
 		wk := make([]string, len(w))
 		for i, r := range g {
-			gk[i] = rowKey(r)
+			gk[i] = RowKey(r)
 		}
 		for i, r := range w {
-			wk[i] = rowKey(r)
+			wk[i] = RowKey(r)
 		}
 		sort.Strings(gk)
 		sort.Strings(wk)

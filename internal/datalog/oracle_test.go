@@ -172,7 +172,7 @@ func fixpointOf(t *testing.T, e *Engine, prog Program) (map[string][]string, []*
 		}
 		keys := make([]string, len(rows))
 		for i, r := range rows {
-			keys[i] = rowKey(r)
+			keys[i] = RowKey(r)
 		}
 		ext[pred] = keys
 	}
@@ -222,8 +222,8 @@ func referenceExtents(t *testing.T, tc oracleCase) (map[string][]string, []*obje
 		for i, tu := range tuples {
 			rows[i] = row(tu)
 		}
-		for _, r := range sortRows(rows) {
-			keys[pred] = append(keys[pred], rowKey(r))
+		for _, r := range SortRows(rows) {
+			keys[pred] = append(keys[pred], RowKey(r))
 		}
 		seeded := map[string]bool{}
 		for _, f := range tc.st.Facts(pred) {

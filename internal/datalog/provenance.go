@@ -41,7 +41,7 @@ type Derivation struct {
 }
 
 func provKey(pred string, args []object.Value) string {
-	return pred + "\x00" + rowKey(args)
+	return pred + "\x00" + RowKey(args)
 }
 
 // recordProvenance captures the instantiated body of a successful rule

@@ -13,7 +13,7 @@ type Result struct {
 }
 
 // String renders the result tuple.
-func (r Result) String() string { return rowKey(r.Values) }
+func (r Result) String() string { return RowKey(r.Values) }
 
 // noteGoal registers a query-goal predicate. Goals registered before Run
 // are pre-warmed into the EDB cache (warmGoalPreds); goals that appear
@@ -41,7 +41,7 @@ func (e *Engine) Rows(pred string) ([][]object.Value, error) {
 	if err := e.Run(); err != nil {
 		return nil, err
 	}
-	rows := sortRows(e.relRows(pred))
+	rows := SortRows(e.relRows(pred))
 	n := 0
 	for _, t := range rows {
 		n += len(t)
@@ -117,7 +117,7 @@ func (e *Engine) Query(q RelAtom) ([]Result, error) {
 			for i, v := range varOrder {
 				vals[i] = b[v]
 			}
-			if k := rowKey(vals); !seen[k] {
+			if k := RowKey(vals); !seen[k] {
 				seen[k] = true
 				out = append(out, vals)
 			}
@@ -129,7 +129,7 @@ func (e *Engine) Query(q RelAtom) ([]Result, error) {
 	if len(out) == 0 {
 		return nil, nil
 	}
-	out = sortRows(out)
+	out = SortRows(out)
 	res := make([]Result, len(out))
 	for i, t := range out {
 		res[i] = Result{Values: t}
@@ -151,7 +151,7 @@ func (e *Engine) relRows(pred string) []row {
 // the predicate's sorted tuples of that arity, copied into one backing
 // slab.
 func (e *Engine) answerAll(pred string, arity int) []Result {
-	rows := sortRows(e.relRows(pred))
+	rows := SortRows(e.relRows(pred))
 	if len(rows) == 0 {
 		return nil
 	}

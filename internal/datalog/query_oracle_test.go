@@ -41,7 +41,7 @@ func referenceQuery(e *Engine, q RelAtom) ([]Result, error) {
 			for i, v := range varOrder {
 				vals[i] = b[v]
 			}
-			if k := rowKey(vals); !seen[k] {
+			if k := RowKey(vals); !seen[k] {
 				seen[k] = true
 				out = append(out, Result{Values: vals})
 			}
@@ -50,7 +50,7 @@ func referenceQuery(e *Engine, q RelAtom) ([]Result, error) {
 			delete(b, v)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return rowKey(out[i].Values) < rowKey(out[j].Values) })
+	sort.Slice(out, func(i, j int) bool { return RowKey(out[i].Values) < RowKey(out[j].Values) })
 	return out, nil
 }
 
@@ -97,7 +97,7 @@ func sameResults(got, want []Result) error {
 		}
 		for j := range g {
 			if g[j].Kind() != w[j].Kind() || !g[j].Equal(w[j]) {
-				return fmt.Errorf("answer %d: %s, reference %s", i, rowKey(g), rowKey(w))
+				return fmt.Errorf("answer %d: %s, reference %s", i, RowKey(g), RowKey(w))
 			}
 		}
 	}

@@ -100,7 +100,7 @@ func TestReachablePreservesAnswers(t *testing.T) {
 			t.Fatalf("%s: %d vs %d answers", goal, len(r1), len(r2))
 		}
 		for i := range r1 {
-			if rowKey(r1[i]) != rowKey(r2[i]) {
+			if RowKey(r1[i]) != RowKey(r2[i]) {
 				t.Fatalf("%s: row %d differs", goal, i)
 			}
 		}

@@ -7,13 +7,15 @@ import (
 	"videodb/internal/object"
 )
 
-// row is one derived tuple.
-type row []object.Value
+// row is one derived tuple: an alias, so the engine's rows are the
+// [][]object.Value the exported answer-order functions take.
+type row = []object.Value
 
-// rowKey renders the tuple's canonical string key. The engine identifies
-// tuples by interned 64-bit keys (see intern.go); rendered keys remain
-// the canonical *ordering* of query results.
-func rowKey(r row) string {
+// RowKey renders a tuple's canonical string key: its values' renderings
+// joined by 0x1f. The engine identifies tuples by interned 64-bit keys
+// (see intern.go); rendered keys remain the canonical *order* of answers,
+// here and in the subscriptions core diffs.
+func RowKey(r []object.Value) string {
 	var b strings.Builder
 	for i, v := range r {
 		if i > 0 {
@@ -446,19 +448,17 @@ func dropIndex(l []int, i int) []int {
 	return l
 }
 
-// sortRows returns a copy of rows in canonical (key) order. Keys are
-// computed once per row, not per comparison — on large extents the
-// comparator would otherwise rebuild each key O(log n) times. Rows whose
-// keys render alike (Ref("1") and Num(1)) are ordered by Value.Compare,
-// so the order never depends on the input's.
-func sortRows(rows []row) []row {
+// SortRows returns a copy of rows in answer order (CompareKeyed). Keys
+// are computed once per row, not per comparison — on large extents the
+// comparator would otherwise rebuild each key O(log n) times.
+func SortRows(rows [][]object.Value) [][]object.Value {
 	type keyed struct {
 		key string
 		t   row
 	}
 	ks := make([]keyed, len(rows))
 	for i, t := range rows {
-		ks[i] = keyed{rowKey(t), t}
+		ks[i] = keyed{RowKey(t), t}
 	}
 	slices.SortFunc(ks, func(a, b keyed) int {
 		if c := strings.Compare(a.key, b.key); c != 0 {
@@ -471,6 +471,17 @@ func sortRows(rows []row) []row {
 		out[i] = k.t
 	}
 	return out
+}
+
+// CompareKeyed is the answer order of two rows given their RowKeys: by
+// key, then — for rows whose keys render alike (Ref("1") and Num(1)) —
+// by compareRows, so the order never depends on the input's. SortRows
+// inlines the same comparison.
+func CompareKeyed(ka string, a []object.Value, kb string, b []object.Value) int {
+	if c := strings.Compare(ka, kb); c != 0 {
+		return c
+	}
+	return compareRows(a, b)
 }
 
 // compareRows orders tuples value by value under Value.Compare, shorter

@@ -102,7 +102,7 @@ func TestJoinIndexAblationEquivalence(t *testing.T) {
 		t.Fatalf("with %d vs without %d", len(r1), len(r2))
 	}
 	for i := range r1 {
-		if rowKey(r1[i]) != rowKey(r2[i]) {
+		if RowKey(r1[i]) != RowKey(r2[i]) {
 			t.Fatalf("row %d differs", i)
 		}
 	}

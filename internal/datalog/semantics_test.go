@@ -22,7 +22,7 @@ import (
 // groundAtoms is an interpretation: a set of ground relational atoms.
 type groundAtoms map[string]row // key: pred \x00 rowKey
 
-func atomKey(pred string, t row) string { return pred + "\x00" + rowKey(t) }
+func atomKey(pred string, t row) string { return pred + "\x00" + RowKey(t) }
 
 // refTP computes TP(I) — the immediate consequences of I and the program
 // (Definition 21) — by enumerating all valuations of each rule's
@@ -62,7 +62,7 @@ func refTP(t *testing.T, st *store.Store, p Program, I groundAtoms) groundAtoms 
 		}
 		// EDB facts are part of every interpretation's base.
 		for _, f := range st.Facts(pred) {
-			if rowKey(row(f.Args)) == rowKey(tuple) {
+			if RowKey(row(f.Args)) == RowKey(tuple) {
 				return true
 			}
 		}

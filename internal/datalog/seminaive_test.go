@@ -43,8 +43,8 @@ func TestNaiveEquivalentToSeminaive(t *testing.T) {
 					seed, pred, len(r1), len(r2), p)
 			}
 			for i := range r1 {
-				if rowKey(r1[i]) != rowKey(r2[i]) {
-					t.Fatalf("seed %d: %s row %d: %s vs %s", seed, pred, i, rowKey(r1[i]), rowKey(r2[i]))
+				if RowKey(r1[i]) != RowKey(r2[i]) {
+					t.Fatalf("seed %d: %s row %d: %s vs %s", seed, pred, i, RowKey(r1[i]), RowKey(r2[i]))
 				}
 			}
 		}

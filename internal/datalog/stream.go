@@ -237,13 +237,7 @@ func (e *Engine) edbFiltered(st *planStep) *relation {
 	if rel, ok := e.edbCache[st.constSig]; ok {
 		return rel
 	}
-	binds := make([]store.ArgBind, 0, len(st.args))
-	for k, a := range st.args {
-		if a.slot < 0 {
-			binds = append(binds, store.ArgBind{Pos: k, Val: a.val})
-		}
-	}
-	return e.scanFiltered(st.pred, st.constSig, binds)
+	return e.scanFiltered(st.pred, st.constSig, st.constBinds)
 }
 
 // scanFiltered scans the facts of pred matching binds into a relation

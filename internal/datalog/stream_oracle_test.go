@@ -82,7 +82,7 @@ func TestStreamingIncrementalMatches(t *testing.T) {
 		}
 		keys := make([]string, len(rows))
 		for i, row := range rows {
-			keys[i] = rowKey(row)
+			keys[i] = RowKey(row)
 		}
 		got := map[string][]string{"reach": keys}
 		sameExtents(t, fmt.Sprintf("seed-%d", seed), "incremental vs recompute",

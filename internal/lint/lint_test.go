@@ -130,12 +130,10 @@ func runGolden(t *testing.T, a *Analyzer, dir string) {
 	}
 }
 
-func TestLockCheckGolden(t *testing.T)   { runGolden(t, LockCheck, "lockcheck_a") }
-func TestLockRankGolden(t *testing.T)    { runGolden(t, LockCheck, "core") }
-func TestLockIgnoreGolden(t *testing.T)  { runGolden(t, LockCheck, "lockcheck_ok") }
-func TestCtxCheckGolden(t *testing.T)    { runGolden(t, CtxCheck, "ctxcheck_a") }
-func TestErrLatchGolden(t *testing.T)    { runGolden(t, ErrLatch, "errlatch_a") }
-func TestMetricCheckGolden(t *testing.T) { runGolden(t, MetricCheck, "metriccheck_a") }
+func TestLockCheckGolden(t *testing.T)  { runGolden(t, LockCheck, "lockcheck_a") }
+func TestLockRankGolden(t *testing.T)   { runGolden(t, LockCheck, "core") }
+func TestLockIgnoreGolden(t *testing.T) { runGolden(t, LockCheck, "lockcheck_ok") }
+func TestCtxCheckGolden(t *testing.T)   { runGolden(t, CtxCheck, "ctxcheck_a") }
 
 // TestIgnoreDirectiveValidation asserts malformed suppressions are
 // themselves diagnostics: ignores silencing nothing for free.
@@ -157,10 +155,7 @@ func TestAnalyzersScoped(t *testing.T) {
 		{LockCheck, "videodb/internal/datalog", true},
 		{LockCheck, "videodb/internal/server", false},
 		{CtxCheck, "videodb/internal/server", true},
-		{ErrLatch, "videodb/internal/store", true},
-		{ErrLatch, "videodb/internal/core", false},
-		{MetricCheck, "videodb/internal/server", true},
-		{MetricCheck, "videodb/internal/store", false},
+		{CtxCheck, "videodb/internal/lint", false},
 	}
 	for _, c := range cases {
 		if got := c.a.AppliesTo(c.path); got != c.want {

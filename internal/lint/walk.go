@@ -121,32 +121,3 @@ func assumesHeldLock(fd *ast.FuncDecl) bool {
 	}
 	return fd.Doc != nil && assumedHeldRE.MatchString(fd.Doc.Text())
 }
-
-// receiverIdent returns the name of the method's receiver, or "".
-func receiverIdent(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return ""
-	}
-	return fd.Recv.List[0].Names[0].Name
-}
-
-// rootIdent returns the leftmost identifier of a selector/index chain
-// (s in s.mem.adds[rel]), or nil.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}

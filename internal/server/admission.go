@@ -270,23 +270,6 @@ type AdmissionStats struct {
 	Tenants       int    `json:"tenants"`
 }
 
-func (s *Server) admissionStats() AdmissionStats {
-	st := AdmissionStats{
-		Admitted: s.metrics.admAdmitted.Load(),
-		Rejected: s.metrics.admRejected.Load(),
-		Queued:   s.metrics.admQueued.Load(),
-	}
-	if s.admission == nil {
-		return st
-	}
-	st.Enabled = true
-	st.MaxConcurrent = s.admission.cfg.MaxConcurrent
-	st.QueueDepth = s.admission.cfg.QueueDepth
-	st.PerTenant = s.admission.cfg.PerTenant
-	st.InFlight, st.Waiting, st.Tenants = s.admission.occupancy()
-	return st
-}
-
 // admit gates one evaluation request through admission control. The
 // returned release is never nil; when ok is false the response has
 // already been written and the handler must return without evaluating.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -9,59 +8,10 @@ import (
 	"videodb/internal/core"
 )
 
-// Regression tests for the two genuine findings videolint's bring-up
-// surfaced in this package: the Prometheus exposition and the /v1/stats
-// engine totals had diverged (metriccheck), and the webhook pump waited on context.Background()
-// so Server.Close could not unblock it (ctxcheck).
-
-// TestStatsTotalsCoverWireCounters pins the parity contract: every
-// wire-level counter the Prometheus exposition reports must also appear
-// in the /v1/stats engine totals with the same value. Before the fix,
-// requests, the three sub-wire counters, and both webhook counters were
-// missing from totals(), and the wire counters were exposed nowhere.
-func TestStatsTotalsCoverWireCounters(t *testing.T) {
-	var m metrics
-	m.requests.Add(7)
-	m.subSnapshots.Add(3)
-	m.subDeltasPlus.Add(5)
-	m.subDeltasMinus.Add(2)
-	m.subWebhookRetries.Add(11)
-	m.subWebhookDropped.Add(1)
-
-	tot := m.totals()
-	for _, c := range []struct {
-		name string
-		got  uint64
-		want uint64
-	}{
-		{"httpRequests", tot.Requests, 7},
-		{"subWireSnapshots", tot.SubWireSnapshots, 3},
-		{"subWireDeltasPlus", tot.SubWireDeltasPlus, 5},
-		{"subWireDeltasMinus", tot.SubWireDeltasMinus, 2},
-		{"subWebhookRetries", tot.SubWebhookRetries, 11},
-		{"subWebhookDropped", tot.SubWebhookDropped, 1},
-	} {
-		if c.got != c.want {
-			t.Errorf("totals().%s = %d, want %d (/v1/stats diverged from Prometheus)", c.name, c.got, c.want)
-		}
-	}
-
-	// The same counters must be visible in the exposition, so neither
-	// surface can silently drop what the other reports.
-	var b bytes.Buffer
-	m.writeProm(&b, time.Second)
-	body := b.String()
-	for _, want := range []string{
-		"videodb_http_requests_total 7",
-		`videodb_sub_wire_events_total{kind="snapshot"} 3`,
-		`videodb_sub_wire_events_total{kind="delta_plus"} 5`,
-		`videodb_sub_wire_events_total{kind="delta_minus"} 2`,
-	} {
-		if !bytes.Contains(b.Bytes(), []byte(want)) {
-			t.Errorf("exposition missing %q:\n%s", want, body)
-		}
-	}
-}
+// Regression tests for the webhook pump that waited on
+// context.Background(), so Server.Close could not unblock it (found by
+// ctxcheck; BUGS.md lists it). The metrics-parity regression it used to
+// sit beside is TestStatsTotalsCoverWireCounters in metrics_table_test.go.
 
 // TestCloseCancelsLifecycleContext reconstructs the webhook-pump hang:
 // deliverWebhook used to block in sub.Next(context.Background()), so a

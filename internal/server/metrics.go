@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,15 +16,15 @@ import (
 	"videodb/internal/core"
 	"videodb/internal/datalog"
 	"videodb/internal/datalog/analyze"
-	"videodb/internal/store"
 )
 
 // Observability: cumulative counters for every evaluation the server
-// runs, exposed two ways — GET /metrics in Prometheus text exposition
-// format (0.0.4) and the "engine" section of GET /v1/stats — plus a
-// request log and a slow-query log. Everything here is atomics: the
-// recording path adds a handful of uncontended Add calls per request, so
-// observability never serializes queries.
+// runs, plus a request log and a slow-query log. The server builds one
+// stats snapshot (StatsResponse): GET /v1/stats returns it as JSON and
+// GET /metrics renders it in Prometheus text exposition format (0.0.4)
+// through promTable, followed by the two latency histograms and uptime.
+// The recording path is atomics only: a handful of uncontended Add
+// calls per request, so observability never serializes queries.
 
 // latencyBuckets are the upper bounds (seconds) of the query-latency
 // histogram; an implicit +Inf bucket follows the last entry.
@@ -48,7 +49,24 @@ func (h *histogram) observe(d time.Duration) {
 	h.count.Add(1)
 }
 
-// metrics holds the server's cumulative counters.
+// write renders the histogram with cumulative buckets, as Prometheus
+// expects.
+func (h *histogram) write(b *bytes.Buffer, name, help string) {
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	var cum uint64
+	for i, le := range latencyBuckets {
+		cum += h.buckets[i].Load()
+		fmt.Fprintf(b, "%s_bucket{le=\"%g\"} %d\n", name, le, cum)
+	}
+	cum += h.buckets[len(latencyBuckets)].Load()
+	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+	fmt.Fprintf(b, "%s_sum %g\n", name, float64(h.sumNs.Load())/1e9)
+	fmt.Fprintf(b, "%s_count %d\n", name, h.count.Load())
+}
+
+// metrics holds the server's cumulative counters. Every atomic counter
+// here is copied into the stats snapshot by fill and exposed by
+// promTable.
 type metrics struct {
 	requests atomic.Uint64 // HTTP requests served (all endpoints)
 	queries  atomic.Uint64 // query/script evaluations attempted
@@ -71,10 +89,6 @@ type metrics struct {
 	admQueued   atomic.Uint64
 	admWait     histogram
 
-	// admState snapshots the limiter's current occupancy (in-flight,
-	// waiting, tenants); nil when admission control is off.
-	admState func() (int, int, int)
-
 	// Engine totals accumulated from each evaluation's RunStats.
 	rounds      atomic.Uint64
 	derived     atomic.Uint64
@@ -92,26 +106,14 @@ type metrics struct {
 
 	// Subscription delivery: deltas pushed to clients by sign, plus
 	// webhook-path loss/retry accounting. The authoritative per-DB
-	// counters (active, dropped, resyncs) come from subStats — these
-	// count what this server actually wrote to the wire.
+	// counters (active, dropped, resyncs) are the database's
+	// core.SubTotals; these count what this server actually wrote to the
+	// wire.
 	subDeltasPlus     atomic.Uint64
 	subDeltasMinus    atomic.Uint64
 	subSnapshots      atomic.Uint64
 	subWebhookRetries atomic.Uint64
 	subWebhookDropped atomic.Uint64
-
-	// subStats reads the database's subscription totals; nil-safe like
-	// planCache.
-	subStats func() core.SubTotals
-
-	// planCache reads the database's cross-query plan-cache counters (the
-	// cache lives on core.DB, not here); nil-safe for tests constructing
-	// bare metrics.
-	planCache func() core.PlanCacheStats
-
-	// backendStats reads the store's storage-backend counters (segment
-	// files, block cache, flushes); nil-safe like planCache.
-	backendStats func() store.BackendStats
 
 	// Static-analysis diagnostics reported, keyed by code (VQL0001…).
 	// The label set is open-ended, so this one counter is a guarded map
@@ -239,30 +241,37 @@ type engineTotals struct {
 	InternValues int                 `json:"internValues"` // process-wide value-interner size
 }
 
-func (m *metrics) totals() engineTotals {
-	var pcs core.PlanCacheStats
-	if m.planCache != nil {
-		pcs = m.planCache()
+// snapshot builds the server's one stats snapshot: GET /v1/stats
+// returns it and GET /metrics renders it.
+func (s *Server) snapshot() StatsResponse {
+	s.mu.RLock()
+	snap := StatsResponse{
+		Stats:         s.db.Store().Stats(),
+		PlanCache:     s.db.PlanCacheStats(),
+		Backend:       s.db.Store().BackendStats(),
+		Subscriptions: s.db.SubscriptionStats(),
 	}
-	var sub core.SubTotals
-	if m.subStats != nil {
-		sub = m.subStats()
+	s.mu.RUnlock()
+	if a := s.admission; a != nil {
+		snap.Admission = AdmissionStats{
+			Enabled:       true,
+			MaxConcurrent: a.cfg.MaxConcurrent,
+			QueueDepth:    a.cfg.QueueDepth,
+			PerTenant:     a.cfg.PerTenant,
+		}
+		snap.Admission.InFlight, snap.Admission.Waiting, snap.Admission.Tenants = a.occupancy()
 	}
-	return engineTotals{
-		PlanCache:     pcs,
-		InternValues:  datalog.InternStats().Values,
-		Subscriptions: sub,
+	snap.Intern.Values = datalog.InternStats().Values
+	snap.Uptime = time.Since(s.start).Seconds()
+	s.metrics.fill(&snap)
+	return snap
+}
 
-		SubWireSnapshots:   m.subSnapshots.Load(),
-		SubWireDeltasPlus:  m.subDeltasPlus.Load(),
-		SubWireDeltasMinus: m.subDeltasMinus.Load(),
-		SubWebhookRetries:  m.subWebhookRetries.Load(),
-		SubWebhookDropped:  m.subWebhookDropped.Load(),
-
-		AdmissionAdmitted: m.admAdmitted.Load(),
-		AdmissionRejected: m.admRejected.Load(),
-		AdmissionQueued:   m.admQueued.Load(),
-
+// fill copies the counters into snap: the engine section, which repeats
+// snap's plan-cache, subscription and interner sections, and the
+// admission counts (kept even when the limiter is off).
+func (m *metrics) fill(snap *StatsResponse) {
+	snap.Engine = engineTotals{
 		Requests:         m.requests.Load(),
 		Queries:          m.queries.Load(),
 		ErrorsCanceled:   m.errCanceled.Load(),
@@ -277,145 +286,215 @@ func (m *metrics) totals() engineTotals {
 		ViewsRecomp:      m.viewRecomputed.Load(),
 		ViewErrors:       m.viewErrors.Load(),
 		VetDiagnostics:   m.vetSnapshot(),
+
+		Subscriptions: snap.Subscriptions,
+
+		SubWireSnapshots:   m.subSnapshots.Load(),
+		SubWireDeltasPlus:  m.subDeltasPlus.Load(),
+		SubWireDeltasMinus: m.subDeltasMinus.Load(),
+		SubWebhookRetries:  m.subWebhookRetries.Load(),
+		SubWebhookDropped:  m.subWebhookDropped.Load(),
+
+		AdmissionAdmitted: m.admAdmitted.Load(),
+		AdmissionRejected: m.admRejected.Load(),
+		AdmissionQueued:   m.admQueued.Load(),
+
+		PlanCache:    snap.PlanCache,
+		InternValues: snap.Intern.Values,
+	}
+	snap.Admission.Admitted = snap.Engine.AdmissionAdmitted
+	snap.Admission.Rejected = snap.Engine.AdmissionRejected
+	snap.Admission.Queued = snap.Engine.AdmissionQueued
+}
+
+// promRow is one metric family of the exposition: its name, type and
+// help text, an optional label, an optional condition, and a reader
+// over the stats snapshot that yields its samples.
+type promRow struct {
+	name, typ, help string
+	label           string                    // label of a family of samples; "" for one sample
+	on              func(*StatsResponse) bool // nil: always exposed
+	read            func(*StatsResponse) []sample
+}
+
+// sample is one exposed value, already formatted: counters as integers,
+// gauges with %g.
+type sample struct{ label, value string }
+
+// counter and gauge declare a one-sample row; family declares a
+// labelled one. when adds a condition.
+func counter(name, help string, v func(*StatsResponse) uint64) promRow {
+	return promRow{name: name, typ: "counter", help: help,
+		read: func(s *StatsResponse) []sample { return []sample{{value: count(v(s))}} }}
+}
+
+func gauge(name, help string, v func(*StatsResponse) float64) promRow {
+	return promRow{name: name, typ: "gauge", help: help,
+		read: func(s *StatsResponse) []sample { return []sample{{value: level(v(s))}} }}
+}
+
+func family(name, typ, help, label string, read func(*StatsResponse) []sample) promRow {
+	return promRow{name: name, typ: typ, help: help, label: label, read: read}
+}
+
+func (r promRow) when(on func(*StatsResponse) bool) promRow { r.on = on; return r }
+
+func count(v uint64) string  { return strconv.FormatUint(v, 10) }
+func level(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+func admissionOn(s *StatsResponse) bool    { return s.Admission.Enabled }
+func segmentBackend(s *StatsResponse) bool { return s.Backend.Kind == "segment" }
+
+// promTable is the exposition, in order. Each row reads the snapshot
+// that /v1/stats returns, so the two surfaces cannot drift apart.
+var promTable = []promRow{
+	counter("videodb_http_requests_total", "HTTP requests served.",
+		func(s *StatsResponse) uint64 { return s.Engine.Requests }),
+	counter("videodb_queries_total", "Query and script evaluations attempted.",
+		func(s *StatsResponse) uint64 { return s.Engine.Queries }),
+	family("videodb_query_errors_total", "counter", "Failed evaluations by class.", "class",
+		func(s *StatsResponse) []sample {
+			return []sample{{"canceled", count(s.Engine.ErrorsCanceled)}, {"client_gone", count(s.Engine.ErrorsClientGone)},
+				{"limit", count(s.Engine.ErrorsLimit)}, {"invalid", count(s.Engine.ErrorsInvalid)}}
+		}),
+	counter("videodb_query_cancellations_total",
+		"Evaluations shed by the server's deadline or budget (client disconnects excluded).",
+		func(s *StatsResponse) uint64 { return s.Engine.ErrorsCanceled }),
+	counter("videodb_query_limit_trips_total",
+		"Evaluations stopped by a resource guard (rounds, derived, solver budget).",
+		func(s *StatsResponse) uint64 { return s.Engine.ErrorsLimit }),
+
+	counter("videodb_admission_admitted_total", "Requests admitted to evaluate (immediately or after queueing).",
+		func(s *StatsResponse) uint64 { return s.Engine.AdmissionAdmitted }),
+	counter("videodb_admission_rejected_total", "Requests refused with 429 because the wait queue was full.",
+		func(s *StatsResponse) uint64 { return s.Engine.AdmissionRejected }),
+	counter("videodb_admission_queued_total", "Admitted or abandoned requests that had to wait for a slot.",
+		func(s *StatsResponse) uint64 { return s.Engine.AdmissionQueued }),
+	gauge("videodb_admission_in_flight", "Evaluations currently holding an admission slot.",
+		func(s *StatsResponse) float64 { return float64(s.Admission.InFlight) }).when(admissionOn),
+	gauge("videodb_admission_waiting", "Requests currently queued for a slot.",
+		func(s *StatsResponse) float64 { return float64(s.Admission.Waiting) }).when(admissionOn),
+	gauge("videodb_admission_tenants", "Tenant classes with live admission state.",
+		func(s *StatsResponse) float64 { return float64(s.Admission.Tenants) }).when(admissionOn),
+
+	counter("videodb_engine_rounds_total", "Fixpoint rounds across all evaluations.",
+		func(s *StatsResponse) uint64 { return s.Engine.Rounds }),
+	counter("videodb_engine_derived_total", "Derived tuples across all evaluations.",
+		func(s *StatsResponse) uint64 { return s.Engine.Derived }),
+	counter("videodb_engine_solver_steps_total", "Constraint-solver steps across all evaluations.",
+		func(s *StatsResponse) uint64 { return s.Engine.SolverSteps }),
+
+	family("videodb_view_maintenance_total", "counter", "Materialized-view reads by serving mode.", "mode",
+		func(s *StatsResponse) []sample {
+			return []sample{{"cached", count(s.Engine.ViewsCached)}, {"incremental", count(s.Engine.ViewsIncr)},
+				{"recompute", count(s.Engine.ViewsRecomp)}}
+		}),
+	counter("videodb_view_errors_total", "Materialized-view builds or reads that failed (cancellation included).",
+		func(s *StatsResponse) uint64 { return s.Engine.ViewErrors }),
+
+	gauge("videodb_subscriptions_active", "Standing queries currently registered.",
+		func(s *StatsResponse) float64 { return float64(s.Subscriptions.Active) }),
+	family("videodb_sub_deltas_total", "counter", "Answer deltas queued to subscribers, by sign.", "sign",
+		func(s *StatsResponse) []sample {
+			return []sample{{"+", count(s.Subscriptions.DeltasPlus)}, {"-", count(s.Subscriptions.DeltasMinus)}}
+		}),
+	counter("videodb_sub_dropped_total", "Queued deltas dropped on slow consumers (resynced or disconnected).",
+		func(s *StatsResponse) uint64 { return s.Subscriptions.Dropped }),
+	counter("videodb_sub_resyncs_total", "Snapshot resyncs sent after a dropped backlog.",
+		func(s *StatsResponse) uint64 { return s.Subscriptions.Resyncs }),
+	counter("videodb_sub_webhook_retries_total", "Webhook delivery attempts that failed and were retried.",
+		func(s *StatsResponse) uint64 { return s.Engine.SubWebhookRetries }),
+	counter("videodb_sub_webhook_dropped_total", "Events abandoned after exhausting webhook retries.",
+		func(s *StatsResponse) uint64 { return s.Engine.SubWebhookDropped }),
+	family("videodb_sub_wire_events_total", "counter", "Subscription events written to clients, by kind.", "kind",
+		func(s *StatsResponse) []sample {
+			return []sample{{"snapshot", count(s.Engine.SubWireSnapshots)},
+				{"delta_plus", count(s.Engine.SubWireDeltasPlus)}, {"delta_minus", count(s.Engine.SubWireDeltasMinus)}}
+		}),
+
+	family("videodb_vet_diagnostics_total", "counter", "Static-analysis diagnostics reported, by code.", "code",
+		func(s *StatsResponse) []sample {
+			out := make([]sample, 0, len(s.Engine.VetDiagnostics))
+			for c, n := range s.Engine.VetDiagnostics {
+				out = append(out, sample{c, count(n)})
+			}
+			sort.Slice(out, func(i, j int) bool { return out[i].label < out[j].label })
+			return out
+		}),
+
+	counter("videodb_plan_cache_hits_total", "Cross-query plan-cache hits.",
+		func(s *StatsResponse) uint64 { return s.PlanCache.Hits }),
+	counter("videodb_plan_cache_misses_total", "Cross-query plan-cache misses.",
+		func(s *StatsResponse) uint64 { return s.PlanCache.Misses }),
+	counter("videodb_plan_cache_evictions_total", "Cross-query plan-cache LRU evictions.",
+		func(s *StatsResponse) uint64 { return s.PlanCache.Evictions }),
+	gauge("videodb_plan_cache_entries", "Compiled programs currently cached.",
+		func(s *StatsResponse) float64 { return float64(s.PlanCache.Entries) }),
+	gauge("videodb_intern_table_values", "Distinct values in the process-wide row-key interner.",
+		func(s *StatsResponse) float64 { return float64(s.Intern.Values) }),
+
+	family("videodb_store_backend", "gauge", "Storage backend serving this database (1 = active).", "kind",
+		func(s *StatsResponse) []sample { return []sample{{s.Backend.Kind, "1"}} }),
+	gauge("videodb_segment_files", "Immutable segment files in the active manifest.",
+		func(s *StatsResponse) float64 { return float64(s.Backend.Segments) }).when(segmentBackend),
+	gauge("videodb_segment_facts", "Fact records resident in segment files (pre-tombstone).",
+		func(s *StatsResponse) float64 { return float64(s.Backend.SegmentFacts) }).when(segmentBackend),
+	gauge("videodb_segment_tombstones", "Tombstones resident in segment files.",
+		func(s *StatsResponse) float64 { return float64(s.Backend.Tombstones) }).when(segmentBackend),
+	gauge("videodb_segment_memtable_facts", "Adds and deletes buffered since the last flush.",
+		func(s *StatsResponse) float64 { return float64(s.Backend.MemtableFacts) }).when(segmentBackend),
+	gauge("videodb_segment_dict_values", "On-disk dictionary entries across segment files.",
+		func(s *StatsResponse) float64 { return float64(s.Backend.DictValues) }).when(segmentBackend),
+	counter("videodb_segment_flushes_total", "Memtable flushes since this backend opened.",
+		func(s *StatsResponse) uint64 { return s.Backend.Flushes }).when(segmentBackend),
+	counter("videodb_segment_compactions_total", "Full-merge compactions since this backend opened.",
+		func(s *StatsResponse) uint64 { return s.Backend.Compactions }).when(segmentBackend),
+	counter("videodb_segment_read_errors_total", "Block or dictionary reads that failed checksum or I/O.",
+		func(s *StatsResponse) uint64 { return s.Backend.ReadErrors }).when(segmentBackend),
+	counter("videodb_block_cache_hits_total", "Block-cache hits since this backend opened.",
+		func(s *StatsResponse) uint64 { return s.Backend.CacheHits }).when(segmentBackend),
+	counter("videodb_block_cache_misses_total", "Block-cache misses since this backend opened.",
+		func(s *StatsResponse) uint64 { return s.Backend.CacheMisses }).when(segmentBackend),
+	counter("videodb_block_cache_evictions_total", "Block-cache evictions since this backend opened.",
+		func(s *StatsResponse) uint64 { return s.Backend.CacheEvictions }).when(segmentBackend),
+	gauge("videodb_block_cache_bytes", "Decoded bytes currently held by the block cache.",
+		func(s *StatsResponse) float64 { return float64(s.Backend.CacheBytes) }).when(segmentBackend),
+	gauge("videodb_block_cache_budget_bytes", "Configured block-cache byte budget.",
+		func(s *StatsResponse) float64 { return float64(s.Backend.CacheBudget) }).when(segmentBackend),
+	gauge("videodb_block_cache_blocks", "Decoded blocks currently cached.",
+		func(s *StatsResponse) float64 { return float64(s.Backend.CachedBlocks) }).when(segmentBackend),
+}
+
+// uptimeRow follows the histograms, closing the exposition.
+var uptimeRow = gauge("videodb_uptime_seconds", "Seconds since the server was created.",
+	func(s *StatsResponse) float64 { return s.Uptime })
+
+func (r promRow) write(b *bytes.Buffer, s *StatsResponse) {
+	if r.on != nil && !r.on(s) {
+		return
+	}
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", r.name, r.help, r.name, r.typ)
+	for _, x := range r.read(s) {
+		b.WriteString(r.name)
+		if r.label != "" {
+			fmt.Fprintf(b, "{%s=%q}", r.label, x.label)
+		}
+		b.WriteByte(' ')
+		b.WriteString(x.value)
+		b.WriteByte('\n')
 	}
 }
 
-// writeProm renders the Prometheus text exposition (format 0.0.4).
-func (m *metrics) writeProm(b *bytes.Buffer, uptime time.Duration) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+// writeProm renders snap, then the two latency histograms and uptime, in
+// Prometheus text exposition format (0.0.4).
+func (m *metrics) writeProm(b *bytes.Buffer, snap *StatsResponse) {
+	for _, r := range promTable {
+		r.write(b, snap)
 	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	// histo renders one fixed-bucket histogram (buckets are stored
-	// per-bucket; Prometheus wants cumulative).
-	histo := func(name, help string, h *histogram) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-		var cum uint64
-		for i, le := range latencyBuckets {
-			cum += h.buckets[i].Load()
-			fmt.Fprintf(b, "%s_bucket{le=\"%g\"} %d\n", name, le, cum)
-		}
-		cum += h.buckets[len(latencyBuckets)].Load()
-		fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-		fmt.Fprintf(b, "%s_sum %g\n", name, float64(h.sumNs.Load())/1e9)
-		fmt.Fprintf(b, "%s_count %d\n", name, h.count.Load())
-	}
-
-	counter("videodb_http_requests_total", "HTTP requests served.", m.requests.Load())
-	counter("videodb_queries_total", "Query and script evaluations attempted.", m.queries.Load())
-
-	fmt.Fprintf(b, "# HELP videodb_query_errors_total Failed evaluations by class.\n")
-	fmt.Fprintf(b, "# TYPE videodb_query_errors_total counter\n")
-	fmt.Fprintf(b, "videodb_query_errors_total{class=\"canceled\"} %d\n", m.errCanceled.Load())
-	fmt.Fprintf(b, "videodb_query_errors_total{class=\"client_gone\"} %d\n", m.errClientGone.Load())
-	fmt.Fprintf(b, "videodb_query_errors_total{class=\"limit\"} %d\n", m.errLimit.Load())
-	fmt.Fprintf(b, "videodb_query_errors_total{class=\"invalid\"} %d\n", m.errInvalid.Load())
-
-	counter("videodb_query_cancellations_total",
-		"Evaluations shed by the server's deadline or budget (client disconnects excluded).", m.errCanceled.Load())
-	counter("videodb_query_limit_trips_total",
-		"Evaluations stopped by a resource guard (rounds, derived, solver budget).", m.errLimit.Load())
-
-	counter("videodb_admission_admitted_total",
-		"Requests admitted to evaluate (immediately or after queueing).", m.admAdmitted.Load())
-	counter("videodb_admission_rejected_total",
-		"Requests refused with 429 because the wait queue was full.", m.admRejected.Load())
-	counter("videodb_admission_queued_total",
-		"Admitted or abandoned requests that had to wait for a slot.", m.admQueued.Load())
-	if m.admState != nil {
-		inFlight, waiting, tenants := m.admState()
-		gauge("videodb_admission_in_flight", "Evaluations currently holding an admission slot.", float64(inFlight))
-		gauge("videodb_admission_waiting", "Requests currently queued for a slot.", float64(waiting))
-		gauge("videodb_admission_tenants", "Tenant classes with live admission state.", float64(tenants))
-	}
-
-	counter("videodb_engine_rounds_total", "Fixpoint rounds across all evaluations.", m.rounds.Load())
-	counter("videodb_engine_derived_total", "Derived tuples across all evaluations.", m.derived.Load())
-	counter("videodb_engine_solver_steps_total", "Constraint-solver steps across all evaluations.", m.solverSteps.Load())
-
-	fmt.Fprintf(b, "# HELP videodb_view_maintenance_total Materialized-view reads by serving mode.\n")
-	fmt.Fprintf(b, "# TYPE videodb_view_maintenance_total counter\n")
-	fmt.Fprintf(b, "videodb_view_maintenance_total{mode=\"cached\"} %d\n", m.viewCached.Load())
-	fmt.Fprintf(b, "videodb_view_maintenance_total{mode=\"incremental\"} %d\n", m.viewIncr.Load())
-	fmt.Fprintf(b, "videodb_view_maintenance_total{mode=\"recompute\"} %d\n", m.viewRecomputed.Load())
-	counter("videodb_view_errors_total",
-		"Materialized-view builds or reads that failed (cancellation included).", m.viewErrors.Load())
-
-	if m.subStats != nil {
-		sub := m.subStats()
-		gauge("videodb_subscriptions_active", "Standing queries currently registered.", float64(sub.Active))
-		fmt.Fprintf(b, "# HELP videodb_sub_deltas_total Answer deltas queued to subscribers, by sign.\n")
-		fmt.Fprintf(b, "# TYPE videodb_sub_deltas_total counter\n")
-		fmt.Fprintf(b, "videodb_sub_deltas_total{sign=\"+\"} %d\n", sub.DeltasPlus)
-		fmt.Fprintf(b, "videodb_sub_deltas_total{sign=\"-\"} %d\n", sub.DeltasMinus)
-		counter("videodb_sub_dropped_total",
-			"Queued deltas dropped on slow consumers (resynced or disconnected).", sub.Dropped)
-		counter("videodb_sub_resyncs_total",
-			"Snapshot resyncs sent after a dropped backlog.", sub.Resyncs)
-		counter("videodb_sub_webhook_retries_total",
-			"Webhook delivery attempts that failed and were retried.", m.subWebhookRetries.Load())
-		counter("videodb_sub_webhook_dropped_total",
-			"Events abandoned after exhausting webhook retries.", m.subWebhookDropped.Load())
-	}
-
-	fmt.Fprintf(b, "# HELP videodb_sub_wire_events_total Subscription events written to clients, by kind.\n")
-	fmt.Fprintf(b, "# TYPE videodb_sub_wire_events_total counter\n")
-	fmt.Fprintf(b, "videodb_sub_wire_events_total{kind=\"snapshot\"} %d\n", m.subSnapshots.Load())
-	fmt.Fprintf(b, "videodb_sub_wire_events_total{kind=\"delta_plus\"} %d\n", m.subDeltasPlus.Load())
-	fmt.Fprintf(b, "videodb_sub_wire_events_total{kind=\"delta_minus\"} %d\n", m.subDeltasMinus.Load())
-
-	fmt.Fprintf(b, "# HELP videodb_vet_diagnostics_total Static-analysis diagnostics reported, by code.\n")
-	fmt.Fprintf(b, "# TYPE videodb_vet_diagnostics_total counter\n")
-	vet := m.vetSnapshot()
-	codes := make([]string, 0, len(vet))
-	for c := range vet {
-		codes = append(codes, c)
-	}
-	sort.Strings(codes)
-	for _, c := range codes {
-		fmt.Fprintf(b, "videodb_vet_diagnostics_total{code=%q} %d\n", c, vet[c])
-	}
-
-	var pcs core.PlanCacheStats
-	if m.planCache != nil {
-		pcs = m.planCache()
-	}
-	counter("videodb_plan_cache_hits_total", "Cross-query plan-cache hits.", pcs.Hits)
-	counter("videodb_plan_cache_misses_total", "Cross-query plan-cache misses.", pcs.Misses)
-	counter("videodb_plan_cache_evictions_total", "Cross-query plan-cache LRU evictions.", pcs.Evictions)
-	gauge("videodb_plan_cache_entries", "Compiled programs currently cached.", float64(pcs.Entries))
-	gauge("videodb_intern_table_values", "Distinct values in the process-wide row-key interner.", float64(datalog.InternStats().Values))
-
-	if m.backendStats != nil {
-		bs := m.backendStats()
-		fmt.Fprintf(b, "# HELP videodb_store_backend Storage backend serving this database (1 = active).\n")
-		fmt.Fprintf(b, "# TYPE videodb_store_backend gauge\n")
-		fmt.Fprintf(b, "videodb_store_backend{kind=%q} 1\n", bs.Kind)
-		if bs.Kind == "segment" {
-			gauge("videodb_segment_files", "Immutable segment files in the active manifest.", float64(bs.Segments))
-			gauge("videodb_segment_facts", "Fact records resident in segment files (pre-tombstone).", float64(bs.SegmentFacts))
-			gauge("videodb_segment_tombstones", "Tombstones resident in segment files.", float64(bs.Tombstones))
-			gauge("videodb_segment_memtable_facts", "Adds and deletes buffered since the last flush.", float64(bs.MemtableFacts))
-			gauge("videodb_segment_dict_values", "On-disk dictionary entries across segment files.", float64(bs.DictValues))
-			counter("videodb_segment_flushes_total", "Memtable flushes since this backend opened.", bs.Flushes)
-			counter("videodb_segment_compactions_total", "Full-merge compactions since this backend opened.", bs.Compactions)
-			counter("videodb_segment_read_errors_total", "Block or dictionary reads that failed checksum or I/O.", bs.ReadErrors)
-			counter("videodb_block_cache_hits_total", "Block-cache hits since this backend opened.", bs.CacheHits)
-			counter("videodb_block_cache_misses_total", "Block-cache misses since this backend opened.", bs.CacheMisses)
-			counter("videodb_block_cache_evictions_total", "Block-cache evictions since this backend opened.", bs.CacheEvictions)
-			gauge("videodb_block_cache_bytes", "Decoded bytes currently held by the block cache.", float64(bs.CacheBytes))
-			gauge("videodb_block_cache_budget_bytes", "Configured block-cache byte budget.", float64(bs.CacheBudget))
-			gauge("videodb_block_cache_blocks", "Decoded blocks currently cached.", float64(bs.CachedBlocks))
-		}
-	}
-
-	histo("videodb_query_duration_seconds", "Evaluation latency.", &m.latency)
-	histo("videodb_admission_queue_wait_seconds",
-		"Time from request arrival to admission (0 when a slot was free).", &m.admWait)
-
-	gauge("videodb_uptime_seconds", "Seconds since the server was created.", uptime.Seconds())
+	m.latency.write(b, "videodb_query_duration_seconds", "Evaluation latency.")
+	m.admWait.write(b, "videodb_admission_queue_wait_seconds",
+		"Time from request arrival to admission (0 when a slot was free).")
+	uptimeRow.write(b, snap)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -423,8 +502,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, "GET")
 		return
 	}
+	snap := s.snapshot()
 	var b bytes.Buffer
-	s.metrics.writeProm(&b, time.Since(s.start))
+	s.metrics.writeProm(&b, &snap)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b.Bytes())

@@ -93,26 +93,8 @@ func New(db *core.DB, opts ...Option) *Server {
 	s := &Server{db: db, mux: http.NewServeMux(), start: time.Now(), metrics: &metrics{}}
 	//videolint:ignore ctxcheck server lifecycle root, not a request path: Close cancels it
 	s.lifeCtx, s.lifeCancel = context.WithCancel(context.Background())
-	s.metrics.planCache = func() core.PlanCacheStats {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return s.db.PlanCacheStats()
-	}
-	s.metrics.backendStats = func() store.BackendStats {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return s.db.Store().BackendStats()
-	}
-	s.metrics.subStats = func() core.SubTotals {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return s.db.SubscriptionStats()
-	}
 	for _, o := range opts {
 		o(s)
-	}
-	if s.admission != nil {
-		s.metrics.admState = s.admission.occupancy
 	}
 	s.mux.HandleFunc("/v1/query", s.handleQuery)
 	s.mux.HandleFunc("/v1/explain", s.handleExplain)
@@ -511,9 +493,10 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, o)
 }
 
-// StatsResponse merges the store's content statistics (embedded, so its
-// fields stay at the top level for existing clients) with the server's
-// cumulative engine totals and uptime.
+// StatsResponse is the server's one stats snapshot (see snapshot):
+// GET /v1/stats returns it and GET /metrics renders it. The store's
+// content statistics are embedded, so their fields stay at the top level
+// for existing clients.
 type StatsResponse struct {
 	store.Stats
 	Engine        engineTotals        `json:"engine"`
@@ -534,22 +517,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, "GET")
 		return
 	}
-	s.mu.RLock()
-	st := s.db.Store().Stats()
-	pcs := s.db.PlanCacheStats()
-	bs := s.db.Store().BackendStats()
-	subs := s.db.SubscriptionStats()
-	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, StatsResponse{
-		Stats:         st,
-		Engine:        s.metrics.totals(),
-		PlanCache:     pcs,
-		Intern:        internJSON{Values: datalog.InternStats().Values},
-		Backend:       bs,
-		Subscriptions: subs,
-		Admission:     s.admissionStats(),
-		Uptime:        time.Since(s.start).Seconds(),
-	})
+	writeJSON(w, http.StatusOK, s.snapshot())
 }
 
 // --- Plumbing -------------------------------------------------------------------

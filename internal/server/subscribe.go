@@ -524,6 +524,13 @@ func (s *Server) handleSubscribeWebhook(w http.ResponseWriter, r *http.Request) 
 // on exit (see registerSession).
 func (s *Server) deliverWebhook(ss *subSession) {
 	defer s.subs.webhooks.Done()
+	// The pump is a webhook session's only reader, so its subscription
+	// ends with it. Closing it here, not only in Server.Close, matters:
+	// Close cancels the lifecycle context before it collects sessions,
+	// and a pump that drops its session first would otherwise leave the
+	// subscription registered after Close returns.
+	defer ss.sub.Close()
+	defer s.dropSession(ss.id)
 	client := &http.Client{Timeout: webhookTimeout}
 	consecFails := 0
 	for {
@@ -532,7 +539,6 @@ func (s *Server) deliverWebhook(ss *subSession) {
 		// slow to notice it was closed.
 		ev, err := ss.sub.Next(s.lifeCtx)
 		if err != nil {
-			s.dropSession(ss.id)
 			return
 		}
 		if s.postWebhookEvent(client, ss, ev) {
@@ -541,14 +547,11 @@ func (s *Server) deliverWebhook(ss *subSession) {
 			continue
 		}
 		if s.lifeCtx.Err() != nil {
-			s.dropSession(ss.id)
 			return
 		}
 		consecFails++
 		s.metrics.subWebhookDropped.Add(1)
 		if consecFails >= webhookMaxConsecErr {
-			s.dropSession(ss.id)
-			ss.sub.Close()
 			return
 		}
 	}

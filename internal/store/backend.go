@@ -121,14 +121,18 @@ func (s *Store) BackendStats() BackendStats {
 }
 
 // Compact asks the backend to reorganize its storage (merge segments,
-// resolve tombstones); a no-op on the in-memory backend.
+// resolve tombstones); a no-op on the in-memory backend. Like every
+// write, it is refused once a backend write has failed.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.backend != nil {
-		return s.backend.Compact()
+	if s.backend == nil {
+		return nil
 	}
-	return nil
+	if err := s.writable(); err != nil {
+		return err
+	}
+	return s.backend.Compact()
 }
 
 // Checkpoint persists the backend's volatile state (see Backend.Flush).

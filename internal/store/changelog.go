@@ -87,7 +87,6 @@ func (s *Store) Subscribe(fn func(Event)) (cancel func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	dead := &atomic.Bool{}
-	//videolint:ignore errlatch subscribing registers a reader of acknowledged events, not a durable write; a poisoned store still serves its readers
 	s.subs = append(s.subs, subscriber{fn: fn, dead: dead})
 	return func() { dead.Store(true) }
 }

@@ -144,7 +144,6 @@ func (s *Store) Load(r io.Reader) error {
 		fresh.AddFact(Fact{Name: f.Name, Args: f.Args})
 	}
 
-	//videolint:ignore errlatch Load is refused above on every store with a backend, and only a backend write can set the latch
 	s.objects = fresh.objects
 	s.facts = fresh.facts
 	s.entityIdx = fresh.entityIdx

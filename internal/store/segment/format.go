@@ -294,7 +294,8 @@ func openSegment(id uint64, path string) (*segmentReader, error) {
 	idxOff := binary.LittleEndian.Uint64(footer[0:8])
 	idxLen := binary.LittleEndian.Uint64(footer[8:16])
 	idxCRC := binary.LittleEndian.Uint32(footer[16:20])
-	if idxOff+idxLen > uint64(fi.Size()) {
+	size := uint64(fi.Size())
+	if !within(idxOff, idxLen, size) {
 		f.Close()
 		return nil, fmt.Errorf("segment: %s: index out of bounds", path)
 	}
@@ -312,11 +313,34 @@ func openSegment(id uint64, path string) (*segmentReader, error) {
 		f.Close()
 		return nil, fmt.Errorf("segment: %s: decoding index: %w", path, err)
 	}
+	if err := idx.check(size); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("segment: %s: %w", path, err)
+	}
 	r := &segmentReader{id: id, path: path, f: f, idx: idx, byRel: make(map[string][]int)}
 	for i, bm := range idx.Blocks {
 		r.byRel[bm.Rel] = append(r.byRel[bm.Rel], i)
 	}
 	return r, nil
+}
+
+// within reports whether the n bytes at off lie inside a file of size
+// bytes; unlike off+n <= size, it cannot wrap.
+func within(off, n, size uint64) bool { return off <= size && n <= size-off }
+
+// check bounds every section the index names by the file size, so no
+// reader sizes a buffer from a corrupt length. Every dictionary entry
+// and block record takes at least one byte.
+func (idx *segIndex) check(size uint64) error {
+	if !within(idx.DictOff, idx.DictLen, size) || idx.DictCount < 0 || uint64(idx.DictCount) > idx.DictLen {
+		return fmt.Errorf("dictionary out of bounds")
+	}
+	for i, bm := range idx.Blocks {
+		if !within(bm.Off, bm.Len, size) || bm.Count < 0 || uint64(bm.Count) > bm.Len {
+			return fmt.Errorf("block %d out of bounds", i)
+		}
+	}
+	return nil
 }
 
 func (r *segmentReader) close() error {

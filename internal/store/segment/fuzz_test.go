@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"videodb/internal/object"
@@ -118,7 +119,7 @@ func FuzzReplayTail(f *testing.F) {
 	f.Add(append(valid, valid...), uint64(0))       // replayed records
 	f.Add([]byte("{\"seq\":1}\n\n{}\n"), uint64(0)) // bad checksums
 	f.Fuzz(func(t *testing.T, data []byte, after uint64) {
-		path := filepath.Join(t.TempDir(), "tail.log")
+		path := filepath.Join(dir, "fuzz.log") // one file per worker process, rewritten per input
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -138,6 +139,75 @@ func FuzzReplayTail(f *testing.F) {
 		}
 		if last < after || (len(applied) > 0 && last < applied[len(applied)-1]) {
 			t.Fatalf("returned sequence %d, watermark %d, applied %v", last, after, applied)
+		}
+	})
+}
+
+// wrapFooter is a 36-byte segment whose footer names an index at offset
+// 1 of length 2⁶⁴−1: offset plus length wraps to 0, which a naive
+// off+len > size bound lets through to a make of 2⁶⁴−1 bytes.
+func wrapFooter() []byte {
+	b := []byte(segMagic)
+	b = binary.LittleEndian.AppendUint64(b, 1)
+	b = binary.LittleEndian.AppendUint64(b, ^uint64(0))
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	return append(b, segMagicEnd...)
+}
+
+// TestOpenSegmentFooterWrap: the wrapping footer is refused with the
+// named error, not a makeslice panic.
+func TestOpenSegmentFooterWrap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wrap.seg")
+	if err := os.WriteFile(path, wrapFooter(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := openSegment(1, path)
+	if err == nil {
+		sr.close()
+		t.Fatal("a footer whose index wraps past the file end was accepted")
+	}
+	if !strings.Contains(err.Error(), "index out of bounds") {
+		t.Fatalf("err = %v, want index out of bounds", err)
+	}
+}
+
+// FuzzOpenSegment feeds arbitrary bytes to the segment reader: opening
+// the file, loading its dictionary and decoding every block must each
+// either fail or succeed, never panic.
+func FuzzOpenSegment(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "seed.seg")
+	in := segInput{
+		adds: map[string][]store.Fact{"edge": {
+			store.NewFact("edge", object.Str("a"), object.Str("b")),
+			store.NewFact("edge", object.Ref("o1"), object.Num(2)),
+		}},
+		tombs: map[string][]tombRec{"edge": {{Key: "edge(\"c\")", Arity: 1}}},
+	}
+	if err := writeSegment(path, in, 16); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3]) // truncated footer
+	f.Add(wrapFooter())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// One file per worker process, rewritten per input.
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sr, err := openSegment(1, path)
+		if err != nil {
+			return
+		}
+		defer sr.close()
+		if _, err := sr.loadDict(); err != nil {
+			return
+		}
+		for i := range sr.idx.Blocks {
+			sr.readBlock(i, true)
 		}
 	})
 }

@@ -357,8 +357,6 @@ func (s *Store) aggFor(rel string) *relAgg {
 // SetObjectSource installs the callback that snapshots the live object
 // set at flush time. The parent store calls it with its lock held, so
 // the callback must not re-lock.
-//
-//videolint:ignore errlatch open-time wiring, not durable state: the latch gates the fact and flush paths, not backend installation
 func (s *Store) SetObjectSource(fn func() []*object.Object) { s.objSrc = fn }
 
 // RecoveredObjects returns the object set reconstructed at Open (object
@@ -377,6 +375,15 @@ func (s *Store) healthy() error {
 	return nil
 }
 
+// latch records err as the backend's first write failure, if it is
+// one, and returns it: the first failure is the one Close reports.
+func (s *Store) latch(err error) error {
+	if err != nil && s.err == nil {
+		s.err = err
+	}
+	return err
+}
+
 // AddFact durably appends the fact and applies it to the memtable. The
 // caller has verified the fact is absent. A failed tail append leaves
 // state untouched and poisons the backend (fail-fast).
@@ -384,8 +391,7 @@ func (s *Store) AddFact(f store.Fact, key string) error {
 	if err := s.healthy(); err != nil {
 		return err
 	}
-	if err := s.tail.append(tailRecord{Op: tailAddFact, Fact: tailFactOf(f)}); err != nil {
-		s.err = err
+	if err := s.latch(s.tail.append(tailRecord{Op: tailAddFact, Fact: tailFactOf(f)})); err != nil {
 		return err
 	}
 	s.applyAdd(f, key)
@@ -399,8 +405,7 @@ func (s *Store) DeleteFact(f store.Fact, key string) error {
 	if err := s.healthy(); err != nil {
 		return err
 	}
-	if err := s.tail.append(tailRecord{Op: tailDelFact, Fact: tailFactOf(f)}); err != nil {
-		s.err = err
+	if err := s.latch(s.tail.append(tailRecord{Op: tailDelFact, Fact: tailFactOf(f)})); err != nil {
 		return err
 	}
 	s.applyDel(f.Name, key, len(f.Args))
@@ -415,9 +420,7 @@ func (s *Store) maybeAutoFlush() {
 	if s.mem.records < s.opt.flushEvery {
 		return
 	}
-	if err := s.flushLocked(); err != nil && s.err == nil {
-		s.err = err
-	}
+	s.latch(s.flushLocked())
 }
 
 // applyAdd applies an acknowledged fact insertion to the memtable. A key
@@ -500,8 +503,7 @@ func (s *Store) LogPutObject(o *object.Object) error {
 	if err := s.healthy(); err != nil {
 		return err
 	}
-	if err := s.tail.append(tailRecord{Op: tailPutObj, Object: o}); err != nil {
-		s.err = err
+	if err := s.latch(s.tail.append(tailRecord{Op: tailPutObj, Object: o})); err != nil {
 		return err
 	}
 	return nil
@@ -512,8 +514,7 @@ func (s *Store) LogDeleteObject(oid object.OID) error {
 	if err := s.healthy(); err != nil {
 		return err
 	}
-	if err := s.tail.append(tailRecord{Op: tailDelObj, OID: string(oid)}); err != nil {
-		s.err = err
+	if err := s.latch(s.tail.append(tailRecord{Op: tailDelObj, OID: string(oid)})); err != nil {
 		return err
 	}
 	return nil
