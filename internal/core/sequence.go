@@ -85,12 +85,10 @@ func (s *Sequence) Attach(oid object.OID) error {
 // intervals (the component I).
 func (s *Sequence) Intervals() []object.OID {
 	var out []object.OID
-	s.db.st.ForEachFact(PartOfPred, func(f store.Fact) bool {
+	s.db.st.ScanFacts(PartOfPred, []store.ArgBind{{Pos: 1, Val: object.Ref(s.oid)}}, func(f store.Fact) bool {
 		if len(f.Args) == 2 {
-			if seq, ok := f.Args[1].AsRef(); ok && seq == s.oid {
-				if gi, ok := f.Args[0].AsRef(); ok {
-					out = append(out, gi)
-				}
+			if gi, ok := f.Args[0].AsRef(); ok {
+				out = append(out, gi)
 			}
 		}
 		return true
@@ -179,7 +177,7 @@ func (s *Sequence) Tuple() Tuple {
 		if rel == PartOfPred {
 			continue
 		}
-		s.db.st.ForEachFact(rel, func(f store.Fact) bool {
+		s.db.st.ScanFacts(rel, nil, func(f store.Fact) bool {
 			for _, a := range f.Args {
 				if oid, ok := a.AsRef(); ok && inSeq[oid] {
 					t.R = append(t.R, f)

@@ -34,6 +34,30 @@ func TestAssignmentProjection(t *testing.T) {
 	if n, _ := rows[0][1].AsNumber(); n != 10 {
 		t.Errorf("row 0 score = %v", rows[0][1])
 	}
+
+	// The comparison forms agree with the assignment: an attribute no
+	// object defines holds under neither = nor !=, in the engine and in
+	// the reference.
+	cmp := NewProgram(
+		NewRule(Rel("same", Var("X"), Var("Y")), ObjectAtom(Var("X")), ObjectAtom(Var("Y")),
+			Cmp(AttrOp(Var("X"), "missing"), constraint.Eq, AttrOp(Var("Y"), "missing"))),
+		NewRule(Rel("other", Var("X")), ObjectAtom(Var("X")),
+			Cmp(AttrOp(Var("X"), "missing"), constraint.Ne, TermOp(Const(object.Num(5))))),
+	)
+	ce := mustEngine(t, s, cmp)
+	model, _, err := refModel(s, cmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pred := range []string{"same", "other"} {
+		rows, err := ce.Rows(pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 0 || len(model[pred]) != 0 {
+			t.Errorf("%s over an undefined attribute: engine %v, reference %v, want none", pred, rows, model[pred])
+		}
+	}
 }
 
 func TestAssignmentChain(t *testing.T) {

@@ -572,6 +572,11 @@ func compileFilter(cr *compiledRule, l Literal) filterFunc {
 			if err != nil {
 				return false, err
 			}
+			// An undefined attribute makes the comparison fail, as it
+			// makes the assignment form bind nothing.
+			if (left.attr != "" && lv.IsNull()) || (right.attr != "" && rv.IsNull()) {
+				return false, nil
+			}
 			return compareValues(lv, op, rv), nil
 		}
 

@@ -253,7 +253,13 @@ func (ev *refEval) settle(env refEnv, delayed []Literal) (refEnv, []Literal, boo
 func (ev *refEval) literal(l Literal, env refEnv) (bool, error) {
 	switch a := l.(type) {
 	case CmpAtom:
-		return refCompare(ev.operand(a.Left, env), a.Op, ev.operand(a.Right, env)), nil
+		// An attribute the object does not define holds no value to
+		// compare: the atom cannot hold, whatever the operator.
+		l, r := ev.operand(a.Left, env), ev.operand(a.Right, env)
+		if (a.Left.Attr != "" && l.IsNull()) || (a.Right.Attr != "" && r.IsNull()) {
+			return false, nil
+		}
+		return refCompare(l, a.Op, r), nil
 	case MemberAtom:
 		set := ev.operand(a.Set, env)
 		for _, el := range a.Elems {

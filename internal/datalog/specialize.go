@@ -27,7 +27,9 @@ import (
 // p#n(Ȳ) :- p(c̄, Ȳ). Once p's own rules are pruned away p is extensional
 // in the rewritten program and that rule is a pushdown scan of its stored
 // facts; when p is still needed unspecialized elsewhere, the rule reads
-// p's derived relation, a superset that the binds narrow the same way.
+// p's derived relation, a superset that the binds narrow the same way,
+// and p#n keeps that rule alone: its specialized copies would derive the
+// same slice a second time.
 //
 // A recursion need not carry the constants: for right-linear
 // r(X, Z) :- e(X, Y), r(Y, Z) the goal r(a, X) leaves r(Y, Z) free, so
@@ -89,15 +91,9 @@ func SpecializeGoal(prog Program, goal RelAtom) Specialization {
 		}
 		wg := NewDepGraph(NewProgram(append(derived, prog.Rules...)...))
 		kept := wg.ReachableRules(top.Pred)[len(derived):]
-		out := s.rules
-		for i, r := range prog.Rules {
-			if kept[i] {
-				out = append(out, r)
-			}
-		}
 		uncarried := s.uncarried(kept)
 		if len(uncarried) == 0 {
-			return Specialization{Program: NewProgram(out...), Goal: top}
+			return Specialization{Program: s.program(kept, top.Pred), Goal: top}
 		}
 		for _, p := range uncarried {
 			if g.sameComponent(p, goal.Pred) {
@@ -176,6 +172,40 @@ func (s *specializer) define(pred string, a RelAtom) {
 		s.add(Rule{Name: r.Name, Head: RelAtom{Pred: pred, Args: head, Pos: r.Head.Pos}, Body: body, Pos: r.Pos}, i)
 	}
 	s.add(NewRule(Rel(pred, varTerms(vars)...), a), -1)
+}
+
+// program assembles the rewrite: the fresh predicates' rules, then the
+// kept original rules (kept is aligned with the original program's
+// rules). A fresh predicate whose source keeps its rules gets only its
+// stored-facts rule, which reads the source's derived relation; its
+// specialized copies would derive the same slice a second time. Fresh
+// predicates only those copies read are pruned with them.
+func (s *specializer) program(kept []bool, goal string) Program {
+	orig := s.g.prog.Rules
+	keptSource := map[string]bool{}
+	for i, r := range orig {
+		if kept[i] {
+			keptSource[r.Head.Pred] = true
+		}
+	}
+	var out []Rule
+	dropped := false
+	for i, r := range s.rules {
+		if o := s.orig[i]; o >= 0 && keptSource[orig[o].Head.Pred] {
+			dropped = true
+			continue
+		}
+		out = append(out, r)
+	}
+	for i, r := range orig {
+		if kept[i] {
+			out = append(out, r)
+		}
+	}
+	if dropped {
+		return NewProgram(out...).Reachable(goal)
+	}
+	return NewProgram(out...)
 }
 
 func (s *specializer) add(r Rule, orig int) {

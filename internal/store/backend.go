@@ -7,11 +7,12 @@ import (
 	"videodb/internal/object"
 )
 
-// Backend is a pluggable fact/durability engine behind the Store facade.
-// Without one the store is volatile: every fact lives in the in-memory
-// factRel maps. A persistent backend (internal/store/segment) owns the
-// facts itself — on disk, loaded lazily — and logs object mutations,
-// while the Store keeps owning the object maps and secondary indexes.
+// Backend is the fact/durability engine behind the Store facade: the
+// Store keeps the object maps and secondary indexes, and every fact lives
+// in its backend. New installs the volatile backend, a FactTable with
+// nothing durable; OpenBackend installs a persistent one
+// (internal/store/segment), which owns the facts on disk, loaded lazily,
+// and logs object mutations.
 //
 // Locking contract: the Store invokes every mutating method (AddFact,
 // DeleteFact, LogPutObject, LogDeleteObject, Flush, Compact, Close) under
@@ -37,8 +38,9 @@ type Backend interface {
 
 	HasFact(name, key string) bool
 	// ScanFacts streams visible facts of the relation matching the binds
-	// until fn returns false. Unlike the in-memory path the order is
-	// unspecified (segment order, then memtable insertion order).
+	// until fn returns false, in the backend's order: insertion order on
+	// the volatile backend, segment key order then memtable insertion
+	// order on the segment backend.
 	ScanFacts(name string, binds []ArgBind, fn func(Fact) bool)
 	FactCount(name string) int
 	TotalFacts() int
@@ -79,6 +81,31 @@ type BackendStats struct {
 	ReadErrors     uint64 `json:"readErrors"`
 }
 
+// memBackend is the volatile Backend: the fact table, with nothing to
+// recover, log or persist.
+type memBackend struct{ FactTable }
+
+func (*memBackend) SetObjectSource(func() []*object.Object) {}
+func (*memBackend) RecoveredObjects() []*object.Object      { return nil }
+func (*memBackend) LogPutObject(*object.Object) error       { return nil }
+func (*memBackend) LogDeleteObject(object.OID) error        { return nil }
+func (*memBackend) Compact() error                          { return nil }
+func (*memBackend) Close() error                            { return nil }
+
+func (b *memBackend) AddFact(f Fact, key string) error { b.Add(f, key); return nil }
+
+func (b *memBackend) DeleteFact(f Fact, key string) error { b.Remove(f.Name, key); return nil }
+
+// Flush refuses: a volatile store has nothing to checkpoint.
+func (*memBackend) Flush() error {
+	return fmt.Errorf("store: Checkpoint requires a durable store (OpenBackend)")
+}
+
+// BackendStats reports Kind "mem" with the live fact count.
+func (b *memBackend) BackendStats() BackendStats {
+	return BackendStats{Kind: "mem", MemtableFacts: b.TotalFacts()}
+}
+
 // OpenBackend wires a backend into a fresh store: recovered objects are
 // adopted into the object maps and indexes, and the flush-time object
 // source is connected. The backend must not be shared between stores.
@@ -105,30 +132,20 @@ func OpenBackend(b Backend, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// BackendStats reports the active backend's statistics; in-memory stores
+// BackendStats reports the active backend's statistics; volatile stores
 // report Kind "mem" with the live fact count.
 func (s *Store) BackendStats() BackendStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.backend != nil {
-		return s.backend.BackendStats()
-	}
-	n := 0
-	for _, rel := range s.facts {
-		n += rel.live()
-	}
-	return BackendStats{Kind: "mem", MemtableFacts: n}
+	return s.backend.BackendStats()
 }
 
 // Compact asks the backend to reorganize its storage (merge segments,
-// resolve tombstones); a no-op on the in-memory backend. Like every
+// resolve tombstones); a no-op on the volatile backend. Like every
 // write, it is refused once a backend write has failed.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.backend == nil {
-		return nil
-	}
 	if err := s.writable(); err != nil {
 		return err
 	}
@@ -140,9 +157,6 @@ func (s *Store) Compact() error {
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.backend == nil {
-		return fmt.Errorf("store: Checkpoint requires a durable store (OpenBackend)")
-	}
 	if err := s.writable(); err != nil {
 		return err
 	}
@@ -154,9 +168,6 @@ func (s *Store) Checkpoint() error {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.backend == nil {
-		return nil
-	}
 	err := s.backend.Close()
 	if s.backendErr != nil {
 		return fmt.Errorf("store: a backend write failed during the session: %w", s.backendErr)
@@ -183,61 +194,4 @@ func (s *Store) latch(err error) error {
 		s.backendErr = err
 	}
 	return err
-}
-
-// logPut durably records an object upsert on a durable store; a volatile
-// store has nothing to log.
-func (s *Store) logPut(o *object.Object) error {
-	if s.backend == nil {
-		return nil
-	}
-	return s.latch(s.backend.LogPutObject(o))
-}
-
-// logDelete durably records an object deletion on a durable store.
-func (s *Store) logDelete(oid object.OID) error {
-	if s.backend == nil {
-		return nil
-	}
-	return s.latch(s.backend.LogDeleteObject(oid))
-}
-
-// addFactBackend is the backend branch of AddFactErr; the caller holds
-// the write lock and has checked writable.
-func (s *Store) addFactBackend(f Fact) (bool, error) {
-	key := f.Key()
-	if s.backend.HasFact(f.Name, key) {
-		return false, nil
-	}
-	args := make([]object.Value, len(f.Args))
-	copy(args, f.Args)
-	g := Fact{Name: f.Name, Args: args}
-	newRel := s.backend.FactCount(f.Name) == 0
-	if err := s.backend.AddFact(g, key); err != nil {
-		return false, s.latch(err)
-	}
-	if newRel {
-		s.schemaVer++
-	}
-	s.notify(Event{Kind: EventAddFact, Fact: g})
-	return true, nil
-}
-
-// deleteFactBackend is the backend branch of DeleteFactErr.
-func (s *Store) deleteFactBackend(f Fact) (bool, error) {
-	key := f.Key()
-	if !s.backend.HasFact(f.Name, key) {
-		return false, nil
-	}
-	args := make([]object.Value, len(f.Args))
-	copy(args, f.Args)
-	g := Fact{Name: f.Name, Args: args}
-	if err := s.backend.DeleteFact(g, key); err != nil {
-		return false, s.latch(err)
-	}
-	if s.backend.FactCount(f.Name) == 0 {
-		s.schemaVer++
-	}
-	s.notify(Event{Kind: EventDeleteFact, Fact: g})
-	return true, nil
 }

@@ -62,11 +62,22 @@ func (f Fact) Equal(g Fact) bool {
 	return true
 }
 
-// factRel stores one relation's facts in insertion order with O(1)
-// membership and amortized O(1) deletion. Deleted slots become tombstones
-// (zero Fact) rather than shifting the list; the list compacts once
-// tombstones outnumber live facts. The position map doubles as the
-// membership set (it holds live facts only).
+// FactTable holds relations of facts in memory, each in insertion order
+// with O(1) membership and per-argument posting lists. It is the one
+// in-memory fact table: the volatile store's backend embeds it, and the
+// segment backend keeps its memtable's insertions in one. Its read
+// methods carry the Backend read names and contracts. The zero value is
+// an empty table. A FactTable is not synchronized; its owner serializes
+// writes against reads.
+type FactTable struct {
+	rels  map[string]*factRel
+	total int // live facts across all relations
+}
+
+// factRel stores one relation's facts in insertion order. Deleted slots
+// become tombstones (zero Fact) rather than shifting the list; the list
+// compacts once tombstones outnumber live facts. The position map
+// doubles as the membership set (it holds live facts only).
 //
 // post indexes the list by argument: post[i] maps a ref or string value
 // to the ascending slots whose argument i holds it, so a bound scan walks
@@ -97,23 +108,110 @@ func (p argPostings) postingsFor(v object.Value) (m map[string][]int32, text str
 	return nil, "", false
 }
 
-func newFactRel() *factRel { return &factRel{pos: make(map[string]int)} }
-
-func (r *factRel) live() int { return len(r.pos) }
-
-func (r *factRel) has(key string) bool { _, ok := r.pos[key]; return ok }
-
-func (r *factRel) get(key string) (Fact, bool) {
-	if i, ok := r.pos[key]; ok {
-		return r.list[i], true
+// Add stores f under its canonical key (key is f.Key()) unless that key
+// is live; it reports whether the table changed. The table keeps f's
+// Args slice, so the caller passes one nobody else writes.
+func (t *FactTable) Add(f Fact, key string) bool {
+	r := t.rels[f.Name]
+	if r == nil {
+		if t.rels == nil {
+			t.rels = make(map[string]*factRel)
+		}
+		r = &factRel{pos: make(map[string]int)}
+		t.rels[f.Name] = r
+	} else if _, ok := r.pos[key]; ok {
+		return false
 	}
-	return Fact{}, false
-}
-
-func (r *factRel) add(key string, f Fact) {
 	r.pos[key] = len(r.list)
 	r.index(len(r.list), f)
 	r.list = append(r.list, f)
+	t.total++
+	return true
+}
+
+// Remove deletes the live fact stored under key and returns it; ok is
+// false when the key is not live. A relation's last removal drops the
+// relation; otherwise the relation compacts once tombstones dominate.
+func (t *FactTable) Remove(name, key string) (f Fact, ok bool) {
+	r := t.rels[name]
+	if r == nil {
+		return Fact{}, false
+	}
+	i, ok := r.pos[key]
+	if !ok {
+		return Fact{}, false
+	}
+	f = r.list[i]
+	r.list[i] = Fact{}
+	delete(r.pos, key)
+	r.dead++
+	t.total--
+	if len(r.pos) == 0 {
+		delete(t.rels, name)
+	} else {
+		r.maybeCompact()
+	}
+	return f, true
+}
+
+// HasFact reports whether the key is live in the relation.
+func (t *FactTable) HasFact(name, key string) bool {
+	if r := t.rels[name]; r != nil {
+		_, ok := r.pos[key]
+		return ok
+	}
+	return false
+}
+
+// ScanFacts calls fn for every live fact of the relation matching binds,
+// in insertion order, until fn returns false. With a ref or string bind
+// it walks the shortest such bind's posting list; otherwise it filters
+// the whole list. Either way every bind is checked with Value.Equal.
+func (t *FactTable) ScanFacts(name string, binds []ArgBind, fn func(Fact) bool) {
+	if r := t.rels[name]; r != nil {
+		r.scan(binds, fn)
+	}
+}
+
+// FactCount returns the relation's live fact count.
+func (t *FactTable) FactCount(name string) int {
+	if r := t.rels[name]; r != nil {
+		return len(r.pos)
+	}
+	return 0
+}
+
+// TotalFacts returns the live fact count across all relations.
+func (t *FactTable) TotalFacts() int { return t.total }
+
+// Relations returns the sorted names of the relations with live facts.
+func (t *FactTable) Relations() []string {
+	out := make([]string, 0, len(t.rels))
+	for n := range t.rels {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// FactArities returns, per relation, the sorted distinct arities of its
+// live facts.
+func (t *FactTable) FactArities() map[string][]int {
+	out := make(map[string][]int, len(t.rels))
+	for name, r := range t.rels {
+		seen := map[int]bool{}
+		r.scan(nil, func(f Fact) bool {
+			seen[len(f.Args)] = true
+			return true
+		})
+		arities := make([]int, 0, len(seen))
+		for a := range seen {
+			arities = append(arities, a)
+		}
+		sort.Ints(arities)
+		out[name] = arities
+	}
+	return out
 }
 
 // index appends the slot to the posting list of each ref or string
@@ -127,16 +225,6 @@ func (r *factRel) index(slot int, f Fact) {
 			m[text] = append(m[text], int32(slot))
 		}
 	}
-}
-
-// tombstone removes the fact by key, returning the stored fact.
-func (r *factRel) tombstone(key string) Fact {
-	i := r.pos[key]
-	f := r.list[i]
-	r.list[i] = Fact{}
-	delete(r.pos, key)
-	r.dead++
-	return f
 }
 
 // maybeCompact rewrites the list without tombstones once they dominate,
@@ -159,27 +247,15 @@ func (r *factRel) maybeCompact() {
 	r.dead = 0
 }
 
-// each calls fn for every live fact in insertion order until fn returns
-// false.
-func (r *factRel) each(fn func(Fact) bool) {
-	for _, f := range r.list {
-		if f.Name == "" {
-			continue
-		}
-		if !fn(f) {
-			return
-		}
-	}
-}
-
-// scan calls fn for every live fact matching binds, in insertion order,
-// until fn returns false. With a ref or string bind it walks the shortest
-// such bind's posting list; otherwise it filters the whole list. Either
-// way every bind is checked with Value.Equal.
+// scan is FactTable.ScanFacts over one relation.
 func (r *factRel) scan(binds []ArgBind, fn func(Fact) bool) {
 	slots, indexed := r.postings(binds)
 	if !indexed {
-		r.each(func(f Fact) bool { return !f.Matches(binds) || fn(f) })
+		for _, f := range r.list {
+			if f.Name != "" && f.Matches(binds) && !fn(f) {
+				return
+			}
+		}
 		return
 	}
 	for _, i := range slots {
@@ -234,37 +310,36 @@ func (s *Store) AddFactErr(f Fact) (bool, error) {
 	if err := s.writable(); err != nil {
 		return false, err
 	}
-	if s.backend != nil {
-		return s.addFactBackend(f)
-	}
 	key := f.Key()
-	rel := s.facts[f.Name]
-	if rel == nil {
-		rel = newFactRel()
-		s.facts[f.Name] = rel
-		s.schemaVer++
-	}
-	if rel.has(key) {
+	if s.backend.HasFact(f.Name, key) {
 		return false, nil
 	}
-	// Store a private copy of the args slice (values are immutable).
-	args := make([]object.Value, len(f.Args))
-	copy(args, f.Args)
-	g := Fact{Name: f.Name, Args: args}
-	rel.add(key, g)
+	g := f.private()
+	newRel := s.backend.FactCount(f.Name) == 0
+	if err := s.backend.AddFact(g, key); err != nil {
+		return false, s.latch(err)
+	}
+	if newRel {
+		s.schemaVer++
+	}
 	s.notify(Event{Kind: EventAddFact, Fact: g})
 	return true, nil
+}
+
+// private returns f with its own copy of the args slice (values are
+// immutable), so the caller's later writes to its slice reach neither
+// the stored fact nor the event.
+func (f Fact) private() Fact {
+	args := make([]object.Value, len(f.Args))
+	copy(args, f.Args)
+	return Fact{Name: f.Name, Args: args}
 }
 
 // HasFact reports whether the exact fact is present.
 func (s *Store) HasFact(f Fact) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.backend != nil {
-		return s.backend.HasFact(f.Name, f.Key())
-	}
-	rel := s.facts[f.Name]
-	return rel != nil && rel.has(f.Key())
+	return s.backend.HasFact(f.Name, f.Key())
 }
 
 // DeleteFact removes the exact fact; it reports whether it was present
@@ -285,29 +360,23 @@ func (s *Store) DeleteFactErr(f Fact) (bool, error) {
 	if err := s.writable(); err != nil {
 		return false, err
 	}
-	if s.backend != nil {
-		return s.deleteFactBackend(f)
-	}
-	rel := s.facts[f.Name]
-	if rel == nil {
-		return false, nil
-	}
 	key := f.Key()
-	if !rel.has(key) {
+	if !s.backend.HasFact(f.Name, key) {
 		return false, nil
 	}
-	stored := rel.tombstone(key)
-	if rel.live() == 0 {
-		delete(s.facts, f.Name)
-		s.schemaVer++
-	} else {
-		rel.maybeCompact()
+	g := f.private()
+	if err := s.backend.DeleteFact(g, key); err != nil {
+		return false, s.latch(err)
 	}
-	s.notify(Event{Kind: EventDeleteFact, Fact: stored})
+	if s.backend.FactCount(f.Name) == 0 {
+		s.schemaVer++
+	}
+	s.notify(Event{Kind: EventDeleteFact, Fact: g})
 	return true, nil
 }
 
-// Facts returns a copy of all facts of the relation, in insertion order.
+// Facts returns a copy of all facts of the relation, in the backend's
+// order (see Backend.ScanFacts).
 func (s *Store) Facts(name string) []Fact {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -315,20 +384,11 @@ func (s *Store) Facts(name string) []Fact {
 }
 
 func (s *Store) factsLocked(name string) []Fact {
-	if s.backend != nil {
-		var out []Fact
-		s.backend.ScanFacts(name, nil, func(f Fact) bool {
-			out = append(out, f)
-			return true
-		})
-		return out
+	var out []Fact
+	if n := s.backend.FactCount(name); n > 0 {
+		out = make([]Fact, 0, n)
 	}
-	rel := s.facts[name]
-	if rel == nil {
-		return nil
-	}
-	out := make([]Fact, 0, rel.live())
-	rel.each(func(f Fact) bool {
+	s.backend.ScanFacts(name, nil, func(f Fact) bool {
 		out = append(out, f)
 		return true
 	})
@@ -340,17 +400,7 @@ func (s *Store) factsLocked(name string) []Fact {
 func (s *Store) Relations() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.backend != nil {
-		return s.backend.Relations()
-	}
-	out := make([]string, 0, len(s.facts))
-	for n, rel := range s.facts {
-		if rel.live() > 0 {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return s.backend.Relations()
 }
 
 // FactArities returns, per relation, the sorted distinct arities its
@@ -358,38 +408,5 @@ func (s *Store) Relations() []string {
 func (s *Store) FactArities() map[string][]int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.backend != nil {
-		return s.backend.FactArities()
-	}
-	out := make(map[string][]int, len(s.facts))
-	for name, rel := range s.facts {
-		seen := map[int]bool{}
-		rel.each(func(f Fact) bool {
-			seen[len(f.Args)] = true
-			return true
-		})
-		arities := make([]int, 0, len(seen))
-		for a := range seen {
-			arities = append(arities, a)
-		}
-		sort.Ints(arities)
-		if len(arities) > 0 {
-			out[name] = arities
-		}
-	}
-	return out
-}
-
-// ForEachFact calls fn for every fact of the relation until fn returns
-// false.
-func (s *Store) ForEachFact(name string, fn func(Fact) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.backend != nil {
-		s.backend.ScanFacts(name, nil, fn)
-		return
-	}
-	if rel := s.facts[name]; rel != nil {
-		rel.each(fn)
-	}
+	return s.backend.FactArities()
 }

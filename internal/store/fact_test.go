@@ -62,14 +62,14 @@ func TestFactStoreOperations(t *testing.T) {
 	}
 
 	var seen int
-	s.ForEachFact("in", func(Fact) bool { seen++; return true })
+	s.ScanFacts("in", nil, func(Fact) bool { seen++; return true })
 	if seen != 2 {
-		t.Errorf("ForEachFact visited %d", seen)
+		t.Errorf("ScanFacts visited %d", seen)
 	}
 	seen = 0
-	s.ForEachFact("in", func(Fact) bool { seen++; return false })
+	s.ScanFacts("in", nil, func(Fact) bool { seen++; return false })
 	if seen != 1 {
-		t.Errorf("ForEachFact early stop visited %d", seen)
+		t.Errorf("ScanFacts early stop visited %d", seen)
 	}
 
 	if !s.DeleteFact(f) || s.DeleteFact(f) {

@@ -24,7 +24,7 @@ import (
 // and SaveFile export the state.
 var storeReads = []string{
 	"BackendStats", "Entities", "FactArities", "FactCount", "Facts", "ForEach",
-	"ForEachFact", "Get", "GetCopy", "Has", "HasFact", "Intervals",
+	"Get", "GetCopy", "Has", "HasFact", "Intervals",
 	"IntervalsContaining", "IntervalsOverlapping", "IntervalsWithin", "Len",
 	"OIDs", "OIDsOfKind", "ReadTogether", "Relations", "Save", "SaveFile",
 	"ScanFacts", "SchemaVersion", "Stats", "Subscribe", "TotalFacts",

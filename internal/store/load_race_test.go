@@ -58,7 +58,7 @@ func TestLoadConcurrentWithAsserts(t *testing.T) {
 			<-start
 			for i := 0; i < 200; i++ {
 				n := 0
-				s.ForEachFact("loaded", func(Fact) bool { n++; return true })
+				s.ScanFacts("loaded", nil, func(Fact) bool { n++; return true })
 				// A scan must see the relation either absent or complete:
 				// never a partially-populated snapshot.
 				if n != 0 && n != 50 {

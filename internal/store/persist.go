@@ -52,22 +52,8 @@ func (s *Store) buildPayload() payload {
 	for _, id := range oids {
 		p.Objects = append(p.Objects, s.objects[id])
 	}
-	if s.backend != nil {
-		for _, n := range s.backend.Relations() { // already sorted
-			s.backend.ScanFacts(n, nil, func(f Fact) bool {
-				p.Facts = append(p.Facts, jsonFact{Name: f.Name, Args: f.Args})
-				return true
-			})
-		}
-		return p
-	}
-	names := make([]string, 0, len(s.facts))
-	for n := range s.facts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		s.facts[n].each(func(f Fact) bool {
+	for _, n := range s.backend.Relations() { // already sorted
+		s.backend.ScanFacts(n, nil, func(f Fact) bool {
 			p.Facts = append(p.Facts, jsonFact{Name: f.Name, Args: f.Args})
 			return true
 		})
@@ -126,7 +112,7 @@ func (s *Store) Load(r io.Reader) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.backend != nil {
+	if _, volatile := s.backend.(*memBackend); !volatile {
 		return fmt.Errorf("store: Load is not supported on a durable store")
 	}
 
@@ -145,7 +131,7 @@ func (s *Store) Load(r io.Reader) error {
 	}
 
 	s.objects = fresh.objects
-	s.facts = fresh.facts
+	s.backend = fresh.backend
 	s.entityIdx = fresh.entityIdx
 	s.itreeOK = false
 	// The relation set may have changed wholesale; invalidate cached

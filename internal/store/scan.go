@@ -16,24 +16,15 @@ type ArgBind struct {
 }
 
 // ScanFacts calls fn for every fact of the relation whose arguments
-// match all binds, in insertion order, until fn returns false. A bind
-// position that is negative or beyond a fact's arity never matches that
-// fact. On the in-memory store a ref or string bind is answered from the
-// relation's per-argument posting lists.
+// match all binds until fn returns false. A bind position that is
+// negative or beyond a fact's arity never matches that fact. The order
+// is the backend's (see Backend.ScanFacts); the volatile store and the
+// segment memtable answer a ref or string bind from the FactTable's
+// per-argument posting lists.
 func (s *Store) ScanFacts(name string, binds []ArgBind, fn func(Fact) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.scanFactsLocked(name, binds, fn)
-}
-
-func (s *Store) scanFactsLocked(name string, binds []ArgBind, fn func(Fact) bool) {
-	if s.backend != nil {
-		s.backend.ScanFacts(name, binds, fn)
-		return
-	}
-	if rel := s.facts[name]; rel != nil {
-		rel.scan(binds, fn)
-	}
+	s.backend.ScanFacts(name, binds, fn)
 }
 
 // Matches reports whether the fact's arguments match all binds: each
@@ -53,17 +44,7 @@ func (f Fact) Matches(binds []ArgBind) bool {
 func (s *Store) FactCount(name string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.factCountLocked(name)
-}
-
-func (s *Store) factCountLocked(name string) int {
-	if s.backend != nil {
-		return s.backend.FactCount(name)
-	}
-	if rel := s.facts[name]; rel != nil {
-		return rel.live()
-	}
-	return 0
+	return s.backend.FactCount(name)
 }
 
 // TotalFacts returns the number of live facts across all relations — the
@@ -72,14 +53,7 @@ func (s *Store) factCountLocked(name string) int {
 func (s *Store) TotalFacts() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.backend != nil {
-		return s.backend.TotalFacts()
-	}
-	n := 0
-	for _, rel := range s.facts {
-		n += rel.live()
-	}
-	return n
+	return s.backend.TotalFacts()
 }
 
 // SchemaVersion returns a counter that increases whenever the set of
@@ -113,11 +87,11 @@ type Reader struct{ s *Store }
 
 // ScanFacts is Store.ScanFacts under the enclosing ReadTogether's lock.
 func (r Reader) ScanFacts(name string, binds []ArgBind, fn func(Fact) bool) {
-	r.s.scanFactsLocked(name, binds, fn)
+	r.s.backend.ScanFacts(name, binds, fn)
 }
 
 // Facts is Store.Facts under the enclosing ReadTogether's lock.
 func (r Reader) Facts(name string) []Fact { return r.s.factsLocked(name) }
 
 // FactCount is Store.FactCount under the enclosing ReadTogether's lock.
-func (r Reader) FactCount(name string) int { return r.s.factCountLocked(name) }
+func (r Reader) FactCount(name string) int { return r.s.backend.FactCount(name) }

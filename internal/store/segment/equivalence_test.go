@@ -53,8 +53,8 @@ func (p *storePair) check(step int) {
 		if cm, cs := p.mem.FactCount(rel), p.seg.FactCount(rel); cm != cs {
 			p.t.Fatalf("step %d: count(%s) mem=%d seg=%d", step, rel, cm, cs)
 		}
-		km := sortedKeys(p.mem, rel)
-		ks := sortedKeys(p.seg, rel)
+		km := scanKeys(p.mem, rel, nil)
+		ks := scanKeys(p.seg, rel, nil)
 		if fmt.Sprint(km) != fmt.Sprint(ks) {
 			p.t.Fatalf("step %d: facts(%s) diverged\n mem %v\n seg %v", step, rel, km, ks)
 		}
@@ -70,11 +70,41 @@ func (p *storePair) check(step int) {
 	if om, os := p.mem.OIDs(), p.seg.OIDs(); fmt.Sprint(om) != fmt.Sprint(os) {
 		p.t.Fatalf("step %d: objects diverged mem=%v seg=%v", step, om, os)
 	}
+	// Random bound scans, drawn from their own stream so the op sequence
+	// stays the same: one to three binds of any kind, at any position,
+	// compared as sets (the two backends order facts differently).
+	rng := rand.New(rand.NewSource(int64(step)))
+	for _, rel := range relsM {
+		for q := 0; q < 10; q++ {
+			binds := make([]store.ArgBind, 1+rng.Intn(3))
+			for i := range binds {
+				binds[i] = store.ArgBind{Pos: rng.Intn(4) - 1, Val: randValue(rng)}
+			}
+			km := scanKeys(p.mem, rel, binds)
+			ks := scanKeys(p.seg, rel, binds)
+			if fmt.Sprint(km) != fmt.Sprint(ks) {
+				p.t.Fatalf("step %d: ScanFacts(%s, %v) diverged\n mem %v\n seg %v", step, rel, binds, km, ks)
+			}
+		}
+	}
 }
 
-func sortedKeys(st *store.Store, rel string) []string {
+// randValue draws a fact argument: a string, a number or a ref.
+func randValue(rng *rand.Rand) object.Value {
+	switch rng.Intn(3) {
+	case 0:
+		return object.Str(fmt.Sprintf("s%d", rng.Intn(40)))
+	case 1:
+		return object.Num(float64(rng.Intn(25)))
+	default:
+		return object.Ref(object.OID(fmt.Sprintf("o%d", rng.Intn(15))))
+	}
+}
+
+// scanKeys returns the sorted keys of the relation's facts matching binds.
+func scanKeys(st *store.Store, rel string, binds []store.ArgBind) []string {
 	var out []string
-	st.ForEachFact(rel, func(f store.Fact) bool {
+	st.ScanFacts(rel, binds, func(f store.Fact) bool {
 		out = append(out, f.Key())
 		return true
 	})
@@ -99,14 +129,7 @@ func TestMemSegmentEquivalence(t *testing.T) {
 		arity := 1 + rng.Intn(3)
 		args := make([]object.Value, arity)
 		for i := range args {
-			switch rng.Intn(3) {
-			case 0:
-				args[i] = object.Str(fmt.Sprintf("s%d", rng.Intn(40)))
-			case 1:
-				args[i] = object.Num(float64(rng.Intn(25)))
-			default:
-				args[i] = object.Ref(object.OID(fmt.Sprintf("o%d", rng.Intn(15))))
-			}
+			args[i] = randValue(rng)
 		}
 		return store.NewFact(rel, args...)
 	}

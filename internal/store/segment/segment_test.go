@@ -38,7 +38,7 @@ func fact(rel string, args ...string) store.Fact {
 // factKeys returns the sorted canonical keys of a relation's facts.
 func factKeys(st *store.Store, rel string) []string {
 	var out []string
-	st.ForEachFact(rel, func(f store.Fact) bool {
+	st.ScanFacts(rel, nil, func(f store.Fact) bool {
 		out = append(out, f.Key())
 		return true
 	})

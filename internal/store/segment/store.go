@@ -68,55 +68,23 @@ type relAgg struct {
 	arities map[int]int // arity -> live count
 }
 
-type memRel struct {
-	order []string // insertion order; stale entries skipped via facts map
-	facts map[string]store.Fact
-	// removed tracks keys deleted in place: their order entries are
-	// stale. A later re-add of such a key compacts order first, so every
-	// live key appears in order exactly once (scans and flushes iterate
-	// order and must not emit duplicates).
-	removed map[string]bool
-}
-
-// add inserts a key that is not currently live, compacting the order
-// slice when the key's previous incarnation left a stale entry behind.
-func (mr *memRel) add(key string, f store.Fact) {
-	if mr.removed[key] {
-		fresh := make([]string, 0, len(mr.facts)+1)
-		for _, k := range mr.order {
-			if _, ok := mr.facts[k]; ok {
-				fresh = append(fresh, k)
-			}
-		}
-		mr.order = fresh
-		mr.removed = nil // every stale entry is gone
-	}
-	mr.facts[key] = f
-	mr.order = append(mr.order, key)
-}
-
+// memtable buffers the fact mutations since the last flush: insertions
+// of facts no segment holds live in an insertion-ordered, posting-listed
+// table, and deletions of segment-resident facts are tombstones.
 type memtable struct {
-	adds    map[string]*memRel
+	adds    store.FactTable
 	dels    map[string]map[string]int // rel -> key -> arity
 	records int                       // fact mutations since last flush
 }
 
 func newMemtable() memtable {
-	return memtable{adds: make(map[string]*memRel), dels: make(map[string]map[string]int)}
+	return memtable{dels: make(map[string]map[string]int)}
 }
 
 func (m *memtable) delCount() int {
 	n := 0
 	for _, d := range m.dels {
 		n += len(d)
-	}
-	return n
-}
-
-func (m *memtable) addCount() int {
-	n := 0
-	for _, a := range m.adds {
-		n += len(a.facts)
 	}
 	return n
 }
@@ -325,13 +293,14 @@ func (s *Store) rebuildDerived() {
 	}
 	// Memtable contributions (non-empty only mid-run; at open the
 	// memtable is rebuilt by tail replay after this call).
-	for rel, mr := range s.mem.adds {
+	for _, rel := range s.mem.adds.Relations() {
 		a := s.aggFor(rel)
-		for _, f := range mr.facts {
+		s.mem.adds.ScanFacts(rel, nil, func(f store.Fact) bool {
 			a.live++
 			a.arities[len(f.Args)]++
 			s.total++
-		}
+			return true
+		})
 	}
 	for rel, dels := range s.mem.dels {
 		a := s.aggFor(rel)
@@ -442,15 +411,9 @@ func (s *Store) applyAdd(f store.Fact, key string) {
 			return
 		}
 	}
-	mr := s.mem.adds[rel]
-	if mr == nil {
-		mr = &memRel{facts: make(map[string]store.Fact)}
-		s.mem.adds[rel] = mr
-	}
-	if _, ok := mr.facts[key]; ok {
+	if !s.mem.adds.Add(f, key) {
 		return // replay idempotence guard; unreachable in the live path
 	}
-	mr.add(key, f)
 	a := s.aggFor(rel)
 	a.live++
 	a.arities[len(f.Args)]++
@@ -461,20 +424,9 @@ func (s *Store) applyAdd(f store.Fact, key string) {
 // cancelled in place; a segment-resident fact gets a memtable tombstone.
 func (s *Store) applyDel(rel, key string, arity int) {
 	s.mem.records++
-	if mr := s.mem.adds[rel]; mr != nil {
-		if _, ok := mr.facts[key]; ok {
-			delete(mr.facts, key)
-			if len(mr.facts) == 0 {
-				delete(s.mem.adds, rel)
-			} else {
-				if mr.removed == nil {
-					mr.removed = make(map[string]bool)
-				}
-				mr.removed[key] = true
-			}
-			s.noteDel(rel, arity)
-			return
-		}
+	if _, ok := s.mem.adds.Remove(rel, key); ok {
+		s.noteDel(rel, arity)
+		return
 	}
 	dels := s.mem.dels[rel]
 	if dels == nil {
@@ -531,12 +483,7 @@ func (s *Store) HasFact(name, key string) bool {
 			return false
 		}
 	}
-	if mr := s.mem.adds[name]; mr != nil {
-		if _, ok := mr.facts[key]; ok {
-			return true
-		}
-	}
-	return s.segVisible(name, key)
+	return s.mem.adds.HasFact(name, key) || s.segVisible(name, key)
 }
 
 // segVisible probes the segments newest-to-oldest for the key. The first
@@ -609,7 +556,8 @@ func (s *Store) noteReadErr(err error) {
 
 // ScanFacts streams every visible fact of the relation matching the
 // binds: segment instances oldest-to-newest (key order within each
-// segment), then memtable adds in insertion order. Blocks load lazily
+// segment), then memtable adds in insertion order, a ref or string bind
+// walking the memtable's posting lists. Blocks load lazily
 // through the cache, so the scan's working set is the cache budget, not
 // the relation size.
 func (s *Store) ScanFacts(name string, binds []store.ArgBind, fn func(store.Fact) bool) {
@@ -648,20 +596,7 @@ func (s *Store) ScanFacts(name string, binds []store.ArgBind, fn func(store.Fact
 			}
 		}
 	}
-	if mr := s.mem.adds[name]; mr != nil {
-		for _, key := range mr.order {
-			f, ok := mr.facts[key]
-			if !ok {
-				continue // cancelled in place
-			}
-			if !f.Matches(binds) {
-				continue
-			}
-			if !fn(f) {
-				return
-			}
-		}
-	}
+	s.mem.adds.ScanFacts(name, binds, fn)
 }
 
 // FactCount returns the live fact count of the relation (O(1), from the
@@ -730,18 +665,15 @@ func (s *Store) flushLocked() error {
 	man.Segments = append([]string(nil), s.man.Segments...)
 
 	var newReader *segmentReader
-	if s.mem.addCount() > 0 || s.mem.delCount() > 0 {
+	if s.mem.adds.TotalFacts() > 0 || s.mem.delCount() > 0 {
 		in := segInput{adds: make(map[string][]store.Fact), tombs: make(map[string][]tombRec)}
-		for rel, mr := range s.mem.adds {
-			facts := make([]store.Fact, 0, len(mr.facts))
-			for _, key := range mr.order {
-				if f, ok := mr.facts[key]; ok {
-					facts = append(facts, f)
-				}
-			}
-			if len(facts) > 0 {
-				in.adds[rel] = facts
-			}
+		for _, rel := range s.mem.adds.Relations() {
+			facts := make([]store.Fact, 0, s.mem.adds.FactCount(rel))
+			s.mem.adds.ScanFacts(rel, nil, func(f store.Fact) bool {
+				facts = append(facts, f)
+				return true
+			})
+			in.adds[rel] = facts
 		}
 		for rel, dels := range s.mem.dels {
 			for key, arity := range dels {
@@ -901,35 +833,11 @@ func (s *Store) compactLocked() error {
 		os.Remove(filepath.Join(s.dir, n))
 	}
 	// Aggregates are unchanged (the merge preserves net counts); the
-	// horizon and resident counts are rebuilt from the one new index.
-	mem := s.mem
-	s.mem = newMemtable()
+	// horizon and resident counts are rebuilt from the one new index and
+	// the memtable.
 	s.rebuildDerived()
-	s.mem = mem
-	s.rememtable()
 	s.compactions++
 	return nil
-}
-
-// rememtable re-applies the memtable contributions to the aggregates
-// after rebuildDerived reset them to segment-only state.
-func (s *Store) rememtable() {
-	for rel, mr := range s.mem.adds {
-		a := s.aggFor(rel)
-		for _, f := range mr.facts {
-			a.live++
-			a.arities[len(f.Args)]++
-			s.total++
-		}
-	}
-	for rel, dels := range s.mem.dels {
-		a := s.aggFor(rel)
-		for _, arity := range dels {
-			a.live--
-			a.arities[arity]--
-			s.total--
-		}
-	}
 }
 
 // Close flushes outstanding state and releases every file handle. A
@@ -970,7 +878,7 @@ func (s *Store) BackendStats() store.BackendStats {
 		Segments:       len(s.segs),
 		SegmentFacts:   s.segAdds,
 		Tombstones:     s.segTombs,
-		MemtableFacts:  s.mem.addCount() + s.mem.delCount(),
+		MemtableFacts:  s.mem.adds.TotalFacts() + s.mem.delCount(),
 		DictValues:     dict,
 		CacheHits:      s.cache.hits.Load(),
 		CacheMisses:    s.cache.misses.Load(),

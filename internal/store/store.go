@@ -8,7 +8,8 @@
 //   - a centered interval tree over interval durations (temporal stabbing
 //     and overlap queries, i.e. duration entailment pre-filtering).
 //
-// A store built with New is volatile; OpenBackend makes it durable by
+// Facts live in the store's Backend. A store built with New is volatile:
+// its backend is an in-memory FactTable. OpenBackend makes it durable by
 // routing facts and object mutations through a persistent Backend (the
 // segment backend, internal/store/segment). Checksummed JSON snapshots
 // (Save/Load, SaveFile/LoadFile) are the import/export format.
@@ -32,7 +33,6 @@ import (
 type Store struct {
 	mu      sync.RWMutex
 	objects map[object.OID]*object.Object
-	facts   map[string]*factRel // relation name -> facts (see fact.go)
 
 	// Changelog subscribers (see changelog.go).
 	subs []subscriber
@@ -51,9 +51,9 @@ type Store struct {
 	// changes. Read by SchemaVersion; plan caches key on it.
 	schemaVer uint64
 
-	// Pluggable fact/durability engine (see backend.go); nil for a
-	// volatile store. When non-nil, facts live in the backend instead of
-	// s.facts, and object mutations are logged through it.
+	// Fact/durability engine (see backend.go): every fact lives in it,
+	// and object mutations are logged through it. New installs the
+	// volatile memBackend; OpenBackend replaces it.
 	backend Backend
 	// backendErr latches the first failed backend write; once set, every
 	// subsequent mutation is refused before touching state (fail-fast;
@@ -65,8 +65,8 @@ type Store struct {
 func New() *Store {
 	return &Store{
 		objects:   make(map[object.OID]*object.Object),
-		facts:     make(map[string]*factRel),
 		entityIdx: make(map[object.OID]map[object.OID]bool),
+		backend:   &memBackend{},
 	}
 }
 
@@ -109,7 +109,7 @@ func (s *Store) Put(o *object.Object) error {
 	c := o.Clone()
 	s.objects[c.OID()] = c
 	s.index(c)
-	if err := s.logPut(c); err != nil {
+	if err := s.latch(s.backend.LogPutObject(c)); err != nil {
 		s.unindex(c)
 		if old != nil {
 			s.objects[o.OID()] = old
@@ -173,7 +173,7 @@ func (s *Store) Update(oid object.OID, fn func(*object.Object) error) error {
 	s.unindex(old)
 	s.objects[oid] = c
 	s.index(c)
-	if err := s.logPut(c); err != nil {
+	if err := s.latch(s.backend.LogPutObject(c)); err != nil {
 		s.unindex(c)
 		s.objects[oid] = old
 		s.index(old)
@@ -209,7 +209,7 @@ func (s *Store) DeleteErr(oid object.OID) (bool, error) {
 	}
 	s.unindex(o)
 	delete(s.objects, oid)
-	if err := s.logDelete(oid); err != nil {
+	if err := s.latch(s.backend.LogDeleteObject(oid)); err != nil {
 		s.objects[oid] = o
 		s.index(o)
 		return false, err
@@ -436,15 +436,8 @@ func (s *Store) Stats() Stats {
 			st.Entities++
 		}
 	}
-	if s.backend != nil {
-		st.Relations = len(s.backend.Relations())
-		st.Facts = s.backend.TotalFacts()
-	} else {
-		st.Relations = len(s.facts)
-		for _, rel := range s.facts {
-			st.Facts += rel.live()
-		}
-	}
+	st.Relations = len(s.backend.Relations())
+	st.Facts = s.backend.TotalFacts()
 	st.IndexTerms = len(s.entityIdx)
 	return st
 }
